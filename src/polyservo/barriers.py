@@ -109,14 +109,14 @@ def _margin_curve(d, margin):
     """Two-branch constraint value for distance array ``d`` (vectorized).
 
     1 with full margin, 1 - exp(-(d/(d-margin))^2) in the band, 0 at or
-    past the boundary. Smooth at the branch switch.
+    past the boundary. Smooth at the branch switch. Clipping ``d`` to
+    [0, margin] lets the band formula give both ends exactly: w = 0 at the
+    boundary and w = -inf at the margin.
     """
-    d = np.asarray(d, dtype=float)
-    inside_band = (d > 0.0) & (d < margin)
-    safe_d = np.where(inside_band, d, 0.5 * margin)
-    w = safe_d / (safe_d - margin)
-    band_val = 1.0 - np.exp(-(w * w))
-    return np.where(d >= margin, 1.0, np.where(d <= 0.0, 0.0, band_val))
+    d = np.clip(d, 0.0, margin)
+    with np.errstate(divide="ignore"):
+        w = d / (d - margin)
+    return 1.0 - np.exp(-(w * w))
 
 
 def fov_distance(sbar, p: VisibilityParams):
@@ -126,17 +126,9 @@ def fov_distance(sbar, p: VisibilityParams):
     per-edge clearance).
     """
     sbar = np.asarray(sbar, dtype=float)
-    return np.min(
-        np.stack(
-            [
-                sbar[..., 0] - p.x_min,
-                p.x_max - sbar[..., 0],
-                sbar[..., 1] - p.y_min,
-                p.y_max - sbar[..., 1],
-            ],
-            axis=-1,
-        ),
-        axis=-1,
+    x, y = sbar[..., 0], sbar[..., 1]
+    return np.minimum(
+        np.minimum(x - p.x_min, p.x_max - x), np.minimum(y - p.y_min, p.y_max - y)
     )
 
 
@@ -162,15 +154,6 @@ def _L_values(x, vis: VisibilityParams, bounds: AreaBounds):
     l1 = _margin_curve(fov_distance(x[..., :2], vis), vis.gamma)
     l2 = _margin_curve(area_distance(x[..., 2], bounds), bounds.delta)
     return l1, l2
-
-
-def _constraint_value(x, j, vis, bounds):
-    x = np.asarray(x, dtype=float)
-    if j == 1:
-        return _margin_curve(fov_distance(x[..., :2], vis), vis.gamma)
-    if j == 2:
-        return _margin_curve(area_distance(x[..., 2], bounds), bounds.delta)
-    raise ValueError("constraint id must be 1 or 2")
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +186,17 @@ class RecenteringAnchor:
                 xm = x_des.copy()
                 xp[i] += _FD_STEP
                 xm[i] -= _FD_STEP
-                bp = 1.0 / _constraint_value(xp, j, vis, bounds)
-                bm = 1.0 / _constraint_value(xm, j, vis, bounds)
+                bp = 1.0 / _L_values(xp, vis, bounds)[j - 1]
+                bm = 1.0 / _L_values(xm, vis, bounds)[j - 1]
                 self.grad_b_des[j - 1, i] = (bp - bm) / (2.0 * _FD_STEP)
 
 
 def recentered_barrier(x, j: int, anchor: RecenteringAnchor) -> float:
     """Recentered reciprocal barrier r_j: zero (with zero slope) at x_des."""
+    if j not in (1, 2):
+        raise ValueError("constraint id must be 1 or 2")
     x = np.asarray(x, dtype=float)
-    l = float(_constraint_value(x, j, anchor.vis, anchor.bounds))
+    l = float(_L_values(x, anchor.vis, anchor.bounds)[j - 1])
     if l <= EPS_L:
         raise BarrierBlowup(f"constraint {j} at {l:.3e}, barrier undefined")
     b = 1.0 / l
@@ -226,18 +211,6 @@ def barrier_Bx(x, anchor: RecenteringAnchor) -> float:
     return recentered_barrier(x, 1, anchor) + recentered_barrier(x, 2, anchor)
 
 
-def _Bx_values(x, anchor: RecenteringAnchor):
-    """Batched state barrier for (..., 4) states; +inf where unsafe."""
-    x = np.asarray(x, dtype=float)
-    l1, l2 = _L_values(x, anchor.vis, anchor.bounds)
-    dx = x - anchor.x_des
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = 1.0 / l1 - anchor.b_des[0] - dx @ anchor.grad_b_des[0]
-        r2 = 1.0 / l2 - anchor.b_des[1] - dx @ anchor.grad_b_des[1]
-        total = r1 + r2
-    return np.where((l1 > EPS_L) & (l2 > EPS_L), total, np.inf)
-
-
 # ---------------------------------------------------------------------------
 # input barrier
 # ---------------------------------------------------------------------------
@@ -246,16 +219,15 @@ def _Bx_values(x, anchor: RecenteringAnchor):
 def _Bnu_values(nu, limits_vec):
     """Batched input barrier for (..., M) inputs against (M,) limits.
 
-    Zero at nu = 0, +inf at or beyond any saturation bound.
+    Zero at nu = 0, +inf within ``EPS_L`` of any saturation bound, where
+    :func:`barrier_Bnu` raises.
     """
     nu = np.asarray(nu, dtype=float)
     m = np.asarray(limits_vec, dtype=float)
-    hi = m - nu
-    lo = nu + m
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -2.0 / m + 1.0 / hi + 1.0 / lo
+        terms = -2.0 / m + 1.0 / (m - nu) + 1.0 / (nu + m)
         total = terms.sum(axis=-1)
-    ok = (hi > 0).all(axis=-1) & (lo > 0).all(axis=-1)
+    ok = (np.abs(nu) < m - EPS_L).all(axis=-1)
     return np.where(ok, total, np.inf)
 
 

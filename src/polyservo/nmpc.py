@@ -10,6 +10,16 @@ stays cheap. Barrier blowup makes the cost +inf outside the safe set, which
 the line search treats as an automatic rejection, so accepted iterates are
 always strictly interior.
 
+The controller has one rollout, the private ``_OcpKernel``: a batched
+forward pass that writes image points as complex numbers, steps every
+candidate's vertices in a few array ops per horizon step, and forms the
+moment-state rows, barriers and quadratics for all steps at once. It gives
+the solver's costs, the predicted trajectory and the warm start's tail
+state. The public :func:`rollout`, :func:`stage_cost` and
+:func:`total_cost` step one polygon at a time through
+:func:`~polyservo.polygon.propagate_discrete` and the scalar barriers; they
+share no rollout code with the kernel and serve as its reference oracle.
+
 The module also computes the Lipschitz/feasibility diagnostics attached to
 every run: the model and cost Lipschitz constants, the disturbance bound
 that keeps the terminal set recursively reachable, and the optimal-cost
@@ -31,16 +41,14 @@ from .barriers import (
     VisibilityParams,
     _Bnu_values,
     _L_values,
-    _margin_curve,
     barrier_Bnu,
     barrier_Bx,
     fov_distance,
 )
-
-_margin_curve_fast = _margin_curve
 from .camera import FULL_MASK, interaction_matrices
 from .errors import InfeasibleRollout, InfeasibleStart, PolyServoError
 from .polygon import (
+    EPS_ANGLE,
     EPS_AREA,
     PolygonFeatures,
     _dynamics_batch,
@@ -176,7 +184,7 @@ def terminal_cost(x_err, cfg: OcpConfig) -> float:
 
 
 def rollout(poly: PolygonFeatures, x0, nu_F, flow, cfg: OcpConfig, z: float):
-    """Iterate the coupled Euler model over the horizon.
+    """Iterate the coupled Euler model over the horizon (reference path).
 
     Returns ``(states (n+1, 4), vertices (n+1, N, 2))``. The latest flow
     estimate is held constant across the horizon. Raises
@@ -245,124 +253,143 @@ def _flow_array(flow, n):
 
 
 class _OcpKernel:
-    """Batched cost evaluator bound to one OCP instance.
+    """Batched horizon cost and prediction bound to one OCP instance.
 
-    The rollout is fused: image flows and moment-state derivatives are
-    formed componentwise from the vertex coordinates, so no per-vertex
-    interaction matrices are materialized. Within floating-point noise the
-    result matches the public :func:`rollout`/:func:`stage_cost` path.
+    Image points are complex numbers s = x + iy. Under the masked twist u
+    the vertex flow is ``s*(a + Re(s*w)) + b`` with per-row complex
+    coefficients ``a = u2/z - i*u5``, ``w = -u4 - i*u3`` and
+    ``b = (-u4 - u0/z) + i*(u3 - u1/z)``, so the horizon loop steps the
+    vertices of every candidate with a few complex array ops. The state
+    rows are then formed for all steps at once from the stacked vertices:
+    the shoelace sum is ``Im(conj(s)*s_next)``, and the area and angle rows
+    are one complex product each.
+
+    This forward pass is the controller's only rollout: the solver's cost,
+    its predicted trajectory and the warm start's tail state all come from
+    :meth:`forward`. The public :func:`rollout`/:func:`total_cost` path
+    through :func:`propagate_discrete` shares none of this code and is the
+    independent oracle: the two agree to about 1e-12 relative and reject
+    exactly the same candidates.
     """
 
     def __init__(self, poly, x0, flow, cfg, x_des, anchor, z):
         self.cfg = cfg
         self.x0 = np.asarray(x0, dtype=float)
         self.x_des = np.asarray(x_des, dtype=float)
-        self.anchor = anchor
         self.inv_z = 1.0 / z
-        self.px0 = poly.vertices[:, 0].copy()
-        self.py0 = poly.vertices[:, 1].copy()
+        self.s0 = poly.vertices[:, 0] + 1j * poly.vertices[:, 1]
         n_v = poly.n_vertices
         self.i_next = np.roll(np.arange(n_v), -1)
         self.i_prev = np.roll(np.arange(n_v), 1)
+        # e = s @ w_ref is E1 + i*E2, the reference-angle tangent's parts.
         ri, rj = poly.reference_pair
-        w = np.full(n_v, -2.0 / n_v)
-        w[ri] += 1.0
-        w[rj] += 1.0
-        self.w = w
-        self.ri, self.rj = ri, rj
+        w_ref = np.full(n_v, -2.0 / n_v)
+        w_ref[ri] += 1.0
+        w_ref[rj] += 1.0
+        self.w_ref = w_ref
 
         flow = _flow_array(flow, n_v)
-        self.fx = flow[:, 0].copy()
-        self.fy = flow[:, 1].copy()
-        self.flow_c = flow.mean(axis=0)
+        self.f = flow[:, 0] + 1j * flow[:, 1]
 
         self.mask_idx = cfg.mask_idx
-        self.limits_m = cfg.masked_limits
-        self.r_m = cfg.masked_r
-        vis, ab = cfg.visibility, cfg.area_bounds
-        self.vis_lo = np.array([vis.x_min, vis.y_min])
-        self.vis_hi = np.array([vis.x_max, vis.y_max])
-        self.gamma = vis.gamma
-        self.sig_lo, self.sig_hi, self.delta = ab.sigma_min, ab.sigma_max, ab.delta
+        # Input weights and limits tiled over the horizon, for flat sequences.
+        self.r_flat = np.tile(cfg.masked_r, cfg.n)
+        self.limits_flat = np.tile(cfg.masked_limits, cfg.n)
         # Recentring constants collapse to one offset and one linear term.
         self.b_sum = float(anchor.b_des.sum())
         self.grad_sum = anchor.grad_b_des.sum(axis=0)
 
-    def _barrier_state(self, xs, bad):
-        """Stage state barrier for xs (B, 4); updates the bad mask in place."""
-        d_vis = np.minimum(
-            np.min(xs[:, :2] - self.vis_lo, axis=1),
-            np.min(self.vis_hi - xs[:, :2], axis=1),
-        )
-        sigma = np.exp(xs[:, 2])
-        d_sig = np.minimum(sigma - self.sig_lo, self.sig_hi - sigma)
-        l1 = _margin_curve_fast(d_vis, self.gamma)
-        l2 = _margin_curve_fast(d_sig, self.delta)
-        bad |= (l1 <= EPS_L) | (l2 <= EPS_L)
-        dx = xs - self.x_des
-        return 1.0 / l1 + 1.0 / l2 - self.b_sum - dx @ self.grad_sum
+    def forward(self, controls):
+        """Roll out a batch of control sequences (B, n, M).
+
+        Returns ``(states (n+1, B, 4), vertices (n+1, N, B) complex, l1,
+        l2, bad)``: the constraint values (n+1, B) of every state, and the
+        rows that the public :func:`rollout` rejects because a state leaves
+        the safe set, a polygon degenerates or its reference angle turns
+        singular. Input limits are not checked here. Arrays run over
+        (step, vertex, row), so each step, each vertex sum and the barrier
+        pass work on contiguous blocks.
+        """
+        cfg = self.cfg
+        B, n, dt = controls.shape[0], cfg.n, cfg.dt
+        u = np.zeros((6, n, 1, B))
+        u[self.mask_idx, :, 0] = controls.transpose(2, 1, 0)
+        u0, u1, u2, u3, u4, u5 = u * dt
+        # Coefficients scaled by dt, so each step adds dv = dt*(vertex + target flow).
+        a = u2 * self.inv_z - 1j * u5
+        w = -u4 - 1j * u3
+        bf = (-u4 - u0 * self.inv_z) + 1j * (u3 - u1 * self.inv_z) + (dt * self.f)[:, None]
+
+        S = np.empty((n + 1, self.s0.size, B), dtype=complex)
+        dV = np.empty((n, self.s0.size, B), dtype=complex)
+        S[0] = self.s0[:, None]
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                s, dv = S[i], dV[i]
+                np.multiply(s, a[i] + (s * w[i]).real, out=dv)
+                dv += bf[i]
+                np.add(s, dv, out=S[i + 1])
+
+            # The vertex products reuse two scratch arrays: on big batches
+            # every extra large temporary costs fresh page faults.
+            s_next = S.take(self.i_next, axis=1)
+            prod = np.conjugate(S)
+            prod *= s_next
+            dsum = prod.imag.sum(axis=1)  # (n+1, B), twice the signed area
+            sigma = 0.5 * np.abs(dsum)
+            e = self.w_ref @ S
+            e1, e2 = e.real[:n], e.imag[:n]
+            ev = self.w_ref @ dV
+            c = dV.mean(axis=1)
+            edge = s_next[:n]
+            edge -= S[:n].take(self.i_prev, axis=1)
+            flux = np.conjugate(dV, out=prod[:n])
+            flux *= edge
+            # x0, then dt * state rate per step; the running sum is the states.
+            rows = np.empty((n + 1, B, 4))
+            rows[0] = self.x0
+            rows[1:, :, 0] = c.real
+            rows[1:, :, 1] = c.imag
+            rows[1:, :, 2] = 0.5 * np.sign(dsum[:n]) * flux.imag.sum(axis=1) / sigma[:n]
+            rows[1:, :, 3] = (ev.imag - (e2 / e1) * ev.real) / e1
+            states = np.cumsum(rows, axis=0, out=rows)
+
+            l1, l2 = _L_values(states, cfg.visibility, cfg.area_bounds)
+            bad = (
+                (l1 <= EPS_L)
+                | (l2 <= EPS_L)
+                | (sigma <= EPS_AREA)
+                | (np.abs(e.real) <= EPS_ANGLE)
+            ).any(axis=0)
+            # A non-finite state stays non-finite through the cumulative sum.
+            bad |= ~np.isfinite(states[n]).all(axis=1)
+        return states, S, l1, l2, bad
 
     def cost(self, controls):
         """Total cost for a batch of control sequences (B, n, M) -> (B,)."""
-        cfg = self.cfg
-        B, n = controls.shape[0], cfg.n
-        dt = cfg.dt
-        px = np.broadcast_to(self.px0, (B, self.px0.size)).copy()
-        py = np.broadcast_to(self.py0, (B, self.py0.size)).copy()
-        xs = np.broadcast_to(self.x0, (B, 4)).copy()
-        bad = np.zeros(B, dtype=bool)
-
+        cfg, n = self.cfg, self.cfg.n
+        states, _, l1, l2, bad = self.forward(controls)
+        flat = controls.reshape(controls.shape[0], -1)
         with np.errstate(all="ignore"):
-            cost = _Bnu_values(controls, self.limits_m).sum(axis=-1)
-            cost += ((controls * controls) * self.r_m).sum(axis=(-1, -2))
-
-            nu6 = np.zeros((B, n, 6))
-            nu6[..., self.mask_idx] = controls
-
-            for i in range(n):
-                dx = xs - self.x_des
-                cost += ((dx * dx) * cfg.q).sum(axis=-1)
-                cost += self._barrier_state(xs, bad)
-
-                u = nu6[:, i, :]
-                u0, u1, u2 = u[:, 0:1], u[:, 1:2], u[:, 2:3]
-                u3, u4, u5 = u[:, 3:4], u[:, 4:5], u[:, 5:6]
-                xy = px * py
-                dsx = (px * u2 - u0) * self.inv_z + xy * u3 - (1.0 + px * px) * u4 + py * u5
-                dsy = (py * u2 - u1) * self.inv_z + (1.0 + py * py) * u3 - xy * u4 - px * u5
-
-                xn, yn = px[:, self.i_next], py[:, self.i_next]
-                xp, yp = px[:, self.i_prev], py[:, self.i_prev]
-                dsum = (px * yn - xn * py).sum(axis=1)
-                sigma = 0.5 * np.abs(dsum)
-                bad |= sigma <= EPS_AREA
-                half_sgn = 0.5 * np.sign(dsum)[:, None]
-                agx = half_sgn * (yn - yp)
-                agy = half_sgn * (xp - xn)
-                e1 = px[:, self.ri] + px[:, self.rj] - 2.0 * px.mean(axis=1)
-                e2 = py[:, self.ri] + py[:, self.rj] - 2.0 * py.mean(axis=1)
-                inv_e1 = 1.0 / e1
-                anx = (-e2 * inv_e1 * inv_e1)[:, None] * self.w
-                any_ = inv_e1[:, None] * self.w
-
-                xs = xs + dt * np.stack(
-                    [
-                        dsx.mean(axis=1) + self.flow_c[0],
-                        dsy.mean(axis=1) + self.flow_c[1],
-                        (agx * (dsx + self.fx) + agy * (dsy + self.fy)).sum(axis=1) / sigma,
-                        (anx * (dsx + self.fx) + any_ * (dsy + self.fy)).sum(axis=1),
-                    ],
-                    axis=1,
-                )
-                px = px + dt * (dsx + self.fx)
-                py = py + dt * (dsy + self.fy)
-
-            dx = xs - self.x_des
-            cost += ((dx * dx) * cfg.p).sum(axis=-1)
-            # Terminal state must also sit inside the safe set.
-            self._barrier_state(xs, bad)
+            dx = states - self.x_des
+            dx2 = dx * dx
+            cost = dx2[:n].sum(axis=0) @ cfg.q + dx2[n] @ cfg.p + (flat * flat) @ self.r_flat
+            # Recentred state barriers of stages 0..n-1, then the input barrier.
+            cost += (1.0 / l1[:n] + 1.0 / l2[:n]).sum(axis=0) - n * self.b_sum
+            cost -= dx[:n].sum(axis=0) @ self.grad_sum
+            cost += _Bnu_values(flat, self.limits_flat)
             cost = np.where(bad, np.inf, cost)
         return np.where(np.isfinite(cost), cost, np.inf)
+
+    def predict(self, controls):
+        """States (n+1, 4) and vertices (n+1, N, 2) predicted for one sequence.
+
+        Returns ``None`` where :func:`rollout` would raise.
+        """
+        states, S, _, _, bad = self.forward(controls[None])
+        if bad[0]:
+            return None
+        return states[:, 0], np.stack([S[..., 0].real, S[..., 0].imag], axis=-1)
 
     def cost_one(self, controls):
         return float(self.cost(controls[None])[0])
@@ -496,11 +523,10 @@ def solve_ocp(
                 break
 
     controls = theta.reshape(n, m)
-    if np.isfinite(f):
-        states, verts = rollout(poly, x0, controls, flow, cfg, z)
-    else:
-        states = np.repeat(x0[None], n + 1, axis=0)
-        verts = np.repeat(poly.vertices[None], n + 1, axis=0)
+    pred = kern.predict(controls) if np.isfinite(f) else None
+    if pred is None:
+        pred = np.repeat(x0[None], n + 1, axis=0), np.repeat(poly.vertices[None], n + 1, axis=0)
+    states, verts = pred
     return OcpSolution(
         controls=controls,
         predicted_states=states,
@@ -557,21 +583,25 @@ class RecedingHorizonController:
         self._prev_controls = None
 
     def warm_start(self, poly: PolygonFeatures, x0, flow, z: float):
-        """Shift-by-one warm start with a local-controller tail action."""
+        """Shift-by-one warm start with a local-controller tail action.
+
+        The tail acts on the state and polygon the kernel predicts one step
+        before the horizon end; it is zero where that prediction (shifted
+        plan, zero last input) is infeasible.
+        """
         cfg = self.cfg
         if self._prev_controls is None:
             return np.zeros((cfg.n, cfg.n_inputs))
         shifted = self._prev_controls[1:]
-        try:
-            states, verts = rollout(
-                poly, x0, np.vstack([shifted, np.zeros((1, cfg.n_inputs))]), flow, cfg, z
-            )
-            tail_poly = PolygonFeatures(verts[cfg.n - 1], poly.reference_pair)
-            tail = local_controller_h(
-                states[cfg.n - 1] - self.x_des, tail_poly, cfg, z, x=states[cfg.n - 1]
-            )
-        except (PolyServoError, ValueError):
+        kern = _OcpKernel(poly, x0, flow, cfg, self.x_des, self.anchor, z)
+        pred = kern.predict(np.vstack([shifted, np.zeros((1, cfg.n_inputs))]))
+        if pred is None:
             tail = np.zeros(cfg.n_inputs)
+        else:
+            states, verts = pred
+            k = cfg.n - 1
+            tail_poly = PolygonFeatures(verts[k], poly.reference_pair)
+            tail = local_controller_h(states[k] - self.x_des, tail_poly, cfg, z, x=states[k])
         return np.vstack([shifted, tail[None]])
 
     def step(self, poly: PolygonFeatures, x_meas, flow, z: float | None = None) -> StepResult:
@@ -622,13 +652,18 @@ def lipschitz_LF(state_box, q) -> float:
     return float(2.0 * np.sqrt((state_box * state_box).sum()) * q.max())
 
 
+def _geometric_sum(L_f: float, k: int) -> float:
+    """``1 + L_f + ... + L_f**(k-1) = (L_f**k - 1)/(L_f - 1)``; ``k`` at L_f = 1."""
+    if abs(L_f - 1.0) < 1e-9:
+        return float(k)
+    return (L_f**k - 1.0) / (L_f - 1.0)
+
+
 def prediction_error_bound(i: int, xi: float, L_f: float) -> float:
     """Accumulated prediction-error bound after ``i`` disturbed steps."""
     if i < 0:
         raise ValueError("i must be nonnegative")
-    if abs(L_f - 1.0) < 1e-9:
-        return i * xi
-    return xi * (L_f**i - 1.0) / (L_f - 1.0)
+    return xi * _geometric_sum(L_f, i)
 
 
 def disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f, n):
@@ -643,11 +678,7 @@ def disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f, n):
         raise ValueError("constants must be positive")
     per_m = np.empty(n)
     for m in range(n):
-        if abs(L_f - 1.0) < 1e-9:
-            geo = m + 1.0
-        else:
-            geo = (L_f ** (m + 1) - 1.0) / (L_f - 1.0)
-        per_m[m] = (a_eps - a_eps_f) / (L_E * L_f ** ((n - 1) - m) * geo)
+        per_m[m] = (a_eps - a_eps_f) / (L_E * L_f ** ((n - 1) - m) * _geometric_sum(L_f, m + 1))
     return float(per_m.min()), per_m
 
 
@@ -659,11 +690,7 @@ def cost_difference_bound(m: int, e: float, cfg: OcpConfig, diag, state_norms=()
     """
     L_f = diag.L_f if L_f is None else L_f
     k = (cfg.n - 1) - m
-    if abs(L_f - 1.0) < 1e-9:
-        geo = float(k)
-    else:
-        geo = (L_f**k - 1.0) / (L_f - 1.0)
-    L_zm = diag.L_E * L_f**k + diag.L_F * geo
+    L_zm = diag.L_E * L_f**k + diag.L_F * _geometric_sum(L_f, k)
     lower_sum = diag.F_lower * float(sum(v * v for v in state_norms))
     return float(L_zm * e - lower_sum), float(L_zm)
 
@@ -842,8 +869,7 @@ def compute_diagnostics(
     L_zm = np.empty(cfg.n)
     for m in range(cfg.n):
         k = (cfg.n - 1) - m
-        geo = float(k) if abs(L_f - 1.0) < 1e-9 else (L_f**k - 1.0) / (L_f - 1.0)
-        L_zm[m] = L_E * L_f**k + L_F * geo
+        L_zm[m] = L_E * L_f**k + L_F * _geometric_sum(L_f, k)
 
     return DiagnosticsBundle(
         L_f=L_f,

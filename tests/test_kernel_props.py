@@ -1,0 +1,137 @@
+"""Property tests: the fused horizon kernel against the public cost oracle.
+
+``_OcpKernel`` (complex-form batched rollout) and ``total_cost`` (the
+``propagate_discrete`` path) share no rollout code. On random star-shaped
+polygons, control sequences, target flows and both input masks they must
+give the same cost, reject exactly the same candidates, and a batched
+evaluation must agree row by row with single evaluations.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from polyservo import (
+    AreaBounds,
+    CameraIntrinsics,
+    InputLimits,
+    OcpConfig,
+    VisibilityParams,
+    extract_state,
+    total_cost,
+)
+from polyservo.barriers import RecenteringAnchor
+from polyservo.camera import UAV_MASK
+from polyservo.errors import PolyServoError
+from polyservo.nmpc import _OcpKernel
+from conftest import random_polygon
+
+Z = 2.0
+RTOL = 1e-12
+ATOL = 1e-12
+
+PROPS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _ocp(uav: bool) -> OcpConfig:
+    k = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+    return OcpConfig(
+        n=6,
+        dt=0.1,
+        q=np.array([50.0, 50.0, 60.0, 20.0]),
+        r=np.array([0.1, 0.1, 0.05, 0.5, 0.5, 0.1]),
+        p=np.array([500.0, 500.0, 600.0, 200.0]),
+        visibility=VisibilityParams.from_intrinsics(k, gamma=0.15),
+        area_bounds=AreaBounds(sigma_min=0.01, sigma_max=0.7, delta=0.02),
+        limits=InputLimits(nu_max=(0.6, 0.6, 0.6), omega_max=(0.6, 0.6, 0.8)),
+        mask=UAV_MASK.copy() if uav else None,
+    )
+
+
+OCPS = {False: _ocp(False), True: _ocp(True)}
+
+
+@st.composite
+def instances(draw):
+    """(poly, x0, flow, cfg, x_des, anchor, rng) for one random OCP."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_v = draw(st.integers(4, 12))
+    flow_kind = draw(st.sampled_from(["none", "uniform", "per_vertex"]))
+    cfg = OCPS[draw(st.booleans())]
+    rng = np.random.default_rng(seed)
+    # Sizes and offsets reach into the barrier bands of both constraints,
+    # so a good share of the candidates leaves the safe set.
+    poly = random_polygon(rng, n_v, scale=rng.uniform(0.08, 0.45), center_spread=0.5)
+    x0 = extract_state(poly)
+    x_des = np.array(
+        [
+            rng.uniform(-0.55, 0.55),
+            rng.uniform(-0.4, 0.4),
+            np.log(rng.uniform(0.015, 0.6)),
+            rng.uniform(-1.0, 1.0),
+        ]
+    )
+    try:
+        anchor = RecenteringAnchor(x_des, cfg.visibility, cfg.area_bounds)
+    except ValueError:
+        assume(False)  # drew a setpoint outside the safe set
+    flow = {
+        "none": None,
+        "uniform": rng.uniform(-0.1, 0.1, 2),
+        "per_vertex": rng.uniform(-0.1, 0.1, (n_v, 2)),
+    }[flow_kind]
+    return poly, x0, flow, cfg, x_des, anchor, rng
+
+
+def _controls(rng, cfg, scale, batch=None):
+    shape = (cfg.n, cfg.n_inputs) if batch is None else (batch, cfg.n, cfg.n_inputs)
+    return rng.uniform(-1.0, 1.0, shape) * scale * cfg.masked_limits
+
+
+def _oracle(inst, controls):
+    poly, x0, flow, cfg, x_des, anchor, _ = inst
+    try:
+        return total_cost(poly, x0, controls, flow, cfg, x_des, Z, anchor)
+    except PolyServoError:
+        return np.inf
+
+
+@PROPS
+@given(inst=instances(), scale=st.floats(0.01, 1.0))
+def test_kernel_equals_public_cost(inst, scale):
+    poly, x0, flow, cfg, x_des, anchor, rng = inst
+    controls = _controls(rng, cfg, scale)
+    got = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z).cost_one(controls)
+    want = _oracle(inst, controls)
+    if np.isfinite(want):
+        assert abs(got - want) <= RTOL * abs(want) + ATOL
+
+
+@PROPS
+@given(inst=instances(), scale=st.floats(0.3, 1.0))
+def test_kernel_rejects_exactly_where_oracle_raises(inst, scale):
+    poly, x0, flow, cfg, x_des, anchor, rng = inst
+    controls = _controls(rng, cfg, scale)
+    got = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z).cost_one(controls)
+    assert np.isinf(got) == np.isinf(_oracle(inst, controls))
+    assert not np.isnan(got)
+
+
+@PROPS
+@given(inst=instances(), scale=st.floats(0.01, 1.0))
+def test_batched_rows_equal_single_rows(inst, scale):
+    poly, x0, flow, cfg, x_des, anchor, rng = inst
+    batch = _controls(rng, cfg, scale, batch=7)
+    kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
+    rows = kern.cost(batch)
+    for row, controls in zip(rows, batch):
+        one = kern.cost_one(controls)
+        if np.isfinite(one):
+            assert abs(row - one) <= RTOL * abs(one) + ATOL
+        else:
+            assert np.isinf(row)

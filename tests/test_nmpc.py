@@ -14,7 +14,13 @@ from polyservo import (
     total_cost,
 )
 from polyservo.barriers import EPS_L, InputLimits, RecenteringAnchor
-from polyservo.errors import InfeasibleRollout, InfeasibleStart
+from polyservo.errors import (
+    AngleSingularity,
+    InfeasibleRollout,
+    InfeasibleStart,
+    InputAtLimit,
+    StepDegeneracy,
+)
 from polyservo.nmpc import (
     _OcpKernel,
     compute_diagnostics,
@@ -152,6 +158,66 @@ class TestRollout:
             assert jk == pytest.approx(jp, rel=1e-12)
 
 
+class TestKernelGuards:
+    """The kernel returns +inf on exactly the guards where the oracle raises."""
+
+    @staticmethod
+    def kernel_and_oracle(poly, x0, nu_F, flow, cfg, x_des):
+        a = anchor_for(cfg, x_des)
+        got = _OcpKernel(poly, x0, flow, cfg, x_des, a, Z).cost_one(nu_F)
+        return got, lambda: total_cost(poly, x0, nu_F, flow, cfg, x_des, Z, anchor=a)
+
+    def test_input_within_eps_of_limit(self, small_ocp, pentagon):
+        x0 = extract_state(pentagon)
+        nu_F = np.zeros((small_ocp.n, 6))
+        nu_F[2, 3] = small_ocp.masked_limits[3] - EPS_L / 2
+        got, oracle = self.kernel_and_oracle(pentagon, x0, nu_F, None, small_ocp, x0)
+        assert got == np.inf
+        with pytest.raises(InputAtLimit):
+            oracle()
+
+    def test_singular_reference_angle_at_start(self, small_ocp):
+        # E1 = 5e-7 <= EPS_ANGLE on the measured polygon itself.
+        pts = np.array([[0.1 + 1e-6, 0.1], [-0.1, 0.1], [-0.1, -0.1], [0.1, -0.1]])
+        poly = PolygonFeatures(pts)
+        x0 = np.array([pts[:, 0].mean(), pts[:, 1].mean(), np.log(0.04), 0.0])
+        nu_F = np.zeros((small_ocp.n, 6))
+        got, oracle = self.kernel_and_oracle(poly, x0, nu_F, None, small_ocp, x0)
+        assert got == np.inf
+        with pytest.raises(AngleSingularity):
+            oracle()
+
+    def test_singular_reference_angle_mid_horizon(self, small_ocp):
+        # Vertex 0 drifts left until E1 is about 2e-7 after three steps.
+        pts = np.array([[0.2, 0.1], [-0.1, 0.1], [-0.1, -0.1], [0.1, -0.1]])
+        poly = PolygonFeatures(pts)
+        x0 = extract_state(poly)
+        flow = np.zeros((4, 2))
+        flow[0, 0] = (2e-7 - 0.05) / (3 * small_ocp.dt * 0.5)
+        nu_F = np.zeros((small_ocp.n, 6))
+        got, oracle = self.kernel_and_oracle(poly, x0, nu_F, flow, small_ocp, x0)
+        assert got == np.inf
+        with pytest.raises(StepDegeneracy):
+            oracle()
+
+    def test_terminal_polygon_collapse(self, small_ocp):
+        # The target flattens onto the x axis exactly at the horizon end,
+        # while every predicted state stays inside the safe set.
+        pts = np.array([[0.3, 0.3], [-0.3, 0.3], [-0.3, -0.3], [0.3, -0.3]])
+        poly = PolygonFeatures(pts, reference_pair=(0, 3))
+        x0 = extract_state(poly)
+        flow = np.column_stack([np.zeros(4), -pts[:, 1] / (small_ocp.n * small_ocp.dt)])
+        nu_F = np.zeros((small_ocp.n, 6))
+        got, oracle = self.kernel_and_oracle(poly, x0, nu_F, flow, small_ocp, x0)
+        assert got == np.inf
+        with pytest.raises(StepDegeneracy):
+            oracle()
+        # One step shorter, the same plan is feasible and both sides agree.
+        small_ocp.n -= 1
+        got, oracle = self.kernel_and_oracle(poly, x0, nu_F[:-1], flow, small_ocp, x0)
+        assert got == pytest.approx(oracle(), rel=1e-12)
+
+
 class TestSolver:
     def test_setpoint_fixed_point(self, small_ocp, pentagon):
         x0 = extract_state(pentagon)
@@ -247,16 +313,23 @@ class TestRecedingController:
 
     def test_shifted_warm_recomposition_bitexact(self, small_ocp, pentagon):
         # Replaying the tail of the previous plan from its own predicted
-        # first step reproduces the stored prediction bit for bit.
+        # first step, through the forward pass the warm start uses,
+        # reproduces the stored prediction bit for bit. The public rollout
+        # oracle agrees with that prediction to rounding.
         x0 = extract_state(pentagon)
         x_des = x0 + np.array([0.1, -0.06, 0.1, 0.1])
         sol = solve_ocp(pentagon, x0, None, small_ocp, x_des, Z)
         shifted = np.vstack([sol.controls[1:], np.zeros((1, small_ocp.n_inputs))])
         poly1 = PolygonFeatures(sol.predicted_vertices[1], pentagon.reference_pair)
-        states, verts = rollout(poly1, sol.predicted_states[1], shifted, None, small_ocp, Z)
+        a = anchor_for(small_ocp, x_des)
+        kern = _OcpKernel(poly1, sol.predicted_states[1], None, small_ocp, x_des, a, Z)
+        states, verts = kern.predict(shifted)
         n = small_ocp.n
         assert np.array_equal(states[: n - 1], sol.predicted_states[1:n])
         assert np.array_equal(verts[: n - 1], sol.predicted_vertices[1:n])
+        ref_states, ref_verts = rollout(pentagon, x0, sol.controls, None, small_ocp, Z)
+        np.testing.assert_allclose(sol.predicted_states, ref_states, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(sol.predicted_vertices, ref_verts, rtol=1e-12, atol=1e-15)
 
     def test_recovery_on_infeasible_measurement(self, small_ocp, pentagon):
         x0 = extract_state(pentagon)
