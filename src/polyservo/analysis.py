@@ -91,8 +91,6 @@ class SessionStats:
     """Across-session statistics of the steady-state errors."""
 
     variables: dict  # name -> {"mean", "min", "max", "std"}
-    n_sessions: int
-    n_converged: int
 
     def rows(self):
         for name in STAT_VARIABLES:
@@ -113,9 +111,7 @@ def aggregate_sessions(per_session: list) -> SessionStats:
             "max": float(vals.max()),
             "std": float(vals.std()),
         }
-    return SessionStats(
-        variables=variables, n_sessions=len(per_session), n_converged=0
-    )
+    return SessionStats(variables=variables)
 
 
 def write_run_outputs(log: SimLog, cfg: ScenarioConfig, out_dir, plots: bool = True):
@@ -188,10 +184,7 @@ def run_batch(spec: BatchSpec, out_dir, jobs: int = 1, window: float = 0.2):
 
     usable = [r["sse"] for r in results if r["sse"] is not None]
     stats = aggregate_sessions(usable) if usable else None
-    n_conv = sum(1 for r in results if r["converged"])
     if stats is not None:
-        stats.n_converged = n_conv
-
         with open(out_dir / "aggregate.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["variable", "mean", "min", "max", "std"])
@@ -210,5 +203,5 @@ def run_batch(spec: BatchSpec, out_dir, jobs: int = 1, window: float = 0.2):
         "sessions": results,
         "stats": stats,
         "n_sessions": len(results),
-        "n_converged": n_conv,
+        "n_converged": sum(1 for r in results if r["converged"]),
     }

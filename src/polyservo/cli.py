@@ -1,9 +1,11 @@
 """Command-line front end: run scenarios, batches, and print diagnostics.
 
-Exit codes: ``run`` returns 0 when the scenario converged, 2 when it
-aborted or missed its thresholds, 1 on configuration errors. ``batch``
-returns 0 when at least 90% of sessions converged. The output directory
-defaults to ``./out`` and can be overridden by ``--out`` or the
+Exit codes: every command returns 1 on configuration errors. ``run``
+returns 0 when the scenario converged and 2 when it aborted or missed its
+thresholds. ``batch`` returns 0 when at least 90% of sessions converged.
+``diagnose`` returns 2 when the scenario's opening scene admits no
+diagnostics, for example a setpoint outside the safe set. The output
+directory defaults to ``./out`` and can be overridden by ``--out`` or the
 ``POLYSERVO_OUT`` environment variable.
 """
 
@@ -19,10 +21,7 @@ from . import __version__
 from .analysis import convergence_ok, run_batch, steady_state_error, write_run_outputs
 from .config import load_batch, load_scenario
 from .errors import ConfigError, PolyServoError, ShortRun
-from .nmpc import compute_diagnostics
-from .polygon import PolygonFeatures
-from .world import CameraPose, project_target, run_scenario
-from .targets import DeformableTarget
+from .world import opening_scene, run_scenario
 
 
 def _out_dir(args):
@@ -84,20 +83,11 @@ def _cmd_diagnose(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
-    pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
-    world_pts, _ = target.sample(0.0)
-    s0, _ = project_target(pose, world_pts)
-    z = pose.height if cfg.depth == "altimeter" else float(cfg.depth)
-    import numpy as np
-
-    diag = compute_diagnostics(
-        cfg.ocp,
-        z,
-        cfg.x_des,
-        ref_polys=[PolygonFeatures(s0, cfg.reference_pair)],
-        rng=np.random.default_rng(cfg.disturbance_seed + 1),
-    )
+    try:
+        *_, diag = opening_scene(cfg)
+    except (PolyServoError, ValueError) as exc:
+        print(f"diagnose failed: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(diag.to_dict(), indent=2, sort_keys=True))
     return 0
 

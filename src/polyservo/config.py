@@ -9,8 +9,11 @@ elsewhere.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import os
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +37,10 @@ class ConvergenceSpec:
     sigma_tol: float = 0.05
     angle_deg: float = 2.0
     barrier_margin: float = 0.02
+
+    def __post_init__(self):
+        if not 0.0 < self.window <= 1.0:
+            raise ValueError("window must be in (0, 1]")
 
 
 @dataclass
@@ -60,63 +67,12 @@ class ScenarioConfig:
     config_hash: str = ""
 
 
-def _require(d, key, ctx):
-    if key not in d:
-        raise ConfigError(f"{ctx}: missing key {key!r}")
-    return d[key]
-
-
-def _no_extras(d, allowed, ctx):
-    extra = set(d) - set(allowed)
-    if extra:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(extra)}")
-
-
-def _parse_mode(entry, idx):
-    ctx = f"target.modes[{idx}]"
-    kind = _require(entry, "type", ctx)
-    try:
-        if kind == "rigid_drift":
-            _no_extras(entry, {"type", "velocity"}, ctx)
-            return RigidDrift(velocity=tuple(float(v) for v in _require(entry, "velocity", ctx)))
-        if kind == "rigid_spin":
-            _no_extras(entry, {"type", "rate"}, ctx)
-            return RigidSpin(rate=float(_require(entry, "rate", ctx)))
-        if kind == "breathing":
-            _no_extras(entry, {"type", "amplitude", "frequency"}, ctx)
-            return Breathing(
-                amplitude=float(_require(entry, "amplitude", ctx)),
-                frequency=float(_require(entry, "frequency", ctx)),
-            )
-        if kind == "traveling_wave":
-            _no_extras(entry, {"type", "amplitude", "wavelength", "speed", "axis"}, ctx)
-            return TravelingWave(
-                amplitude=float(_require(entry, "amplitude", ctx)),
-                wavelength=float(_require(entry, "wavelength", ctx)),
-                speed=float(_require(entry, "speed", ctx)),
-                axis=tuple(float(v) for v in entry.get("axis", (1.0, 0.0))),
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
-    raise ConfigError(f"{ctx}: unknown mode type {kind!r}")
-
-
-def _parse_solver(d):
-    _no_extras(
-        d,
-        {"max_iters", "grad_tol", "fd_step", "armijo_c1", "backtrack", "max_ls_steps"},
-        "ocp.solver",
-    )
-    base = SolverParams()
-    return SolverParams(
-        max_iters=int(d.get("max_iters", base.max_iters)),
-        grad_tol=float(d.get("grad_tol", base.grad_tol)),
-        fd_step=float(d.get("fd_step", base.fd_step)),
-        armijo_c1=float(d.get("armijo_c1", base.armijo_c1)),
-        backtrack=float(d.get("backtrack", base.backtrack)),
-        max_ls_steps=int(d.get("max_ls_steps", base.max_ls_steps)),
-    )
-
+_MODES = {
+    "rigid_drift": RigidDrift,
+    "rigid_spin": RigidSpin,
+    "breathing": Breathing,
+    "traveling_wave": TravelingWave,
+}
 
 _OCP_KEYS = {
     "horizon",
@@ -131,48 +87,8 @@ _OCP_KEYS = {
     "nu_max",
     "omega_max",
     "solver",
-    "local_gain",
-    "local_damping",
-    "local_clamp",
-    "abar_limit",
     "eps0",
 }
-
-
-def _parse_ocp(d, intrinsics, mask):
-    _no_extras(d, _OCP_KEYS, "ocp")
-    try:
-        vis = VisibilityParams.from_intrinsics(intrinsics, float(_require(d, "gamma", "ocp")))
-        bounds = AreaBounds(
-            sigma_min=float(_require(d, "sigma_min", "ocp")),
-            sigma_max=float(_require(d, "sigma_max", "ocp")),
-            delta=float(_require(d, "delta", "ocp")),
-        )
-        limits = InputLimits(
-            nu_max=tuple(float(v) for v in _require(d, "nu_max", "ocp")),
-            omega_max=tuple(float(v) for v in _require(d, "omega_max", "ocp")),
-        )
-        eps0 = d.get("eps0")
-        return OcpConfig(
-            n=int(_require(d, "horizon", "ocp")),
-            dt=float(_require(d, "dt", "ocp")),
-            q=np.asarray(_require(d, "q", "ocp"), dtype=float),
-            r=np.asarray(_require(d, "r", "ocp"), dtype=float),
-            p=np.asarray(_require(d, "p", "ocp"), dtype=float),
-            visibility=vis,
-            area_bounds=bounds,
-            limits=limits,
-            mask=mask,
-            solver=_parse_solver(d.get("solver", {})),
-            local_gain=float(d.get("local_gain", 1.2)),
-            local_damping=float(d.get("local_damping", 0.05)),
-            local_clamp=float(d.get("local_clamp", 0.95)),
-            abar_limit=float(d.get("abar_limit", 2.0)),
-            eps0=None if eps0 is None else float(eps0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"ocp: {exc}") from exc
-
 
 _TOP_KEYS = {
     "name",
@@ -190,98 +106,165 @@ _TOP_KEYS = {
     "max_recovery_steps",
 }
 
+# What a conversion or constructor raises on a wrong-typed or out-of-range value.
+_VALUE_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def _require(d, key, ctx):
+    if key not in d:
+        raise ConfigError(f"{ctx}: missing key {key!r}")
+    return d[key]
+
+
+def _object(d, allowed, ctx):
+    """Return ``d`` after checking it is a JSON object with only ``allowed`` keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx}: expected a JSON object, got {type(d).__name__}")
+    extra = set(d) - set(allowed)
+    if extra:
+        raise ConfigError(f"{ctx}: unknown keys {sorted(extra)}")
+    return d
+
+
+def _parse_fields(cls, d, ctx, extra_keys=()):
+    """Build dataclass ``cls`` from JSON object ``d``, one key per field.
+
+    Keys, required keys and defaults come from the fields of ``cls``; each
+    value is converted by its annotated type (``tuple``: of floats).
+    ``extra_keys`` are also allowed in ``d`` and left to the caller.
+    """
+    fields = dataclasses.fields(cls)
+    _object(d, {f.name for f in fields} | set(extra_keys), ctx)
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        if f.name in d:
+            typ, value = types[f.name], d[f.name]
+            kwargs[f.name] = tuple(float(v) for v in value) if typ is tuple else typ(value)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{ctx}: missing key {f.name!r}")
+    return cls(**kwargs)
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
 
 def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0) -> ScenarioConfig:
     """Build a validated :class:`ScenarioConfig` from a JSON document.
 
     ``seed_offset`` shifts both the disturbance and target seeds, which is
     how batches and the ``--seed`` flag derive independent sessions from a
-    single scenario file.
+    single scenario file. Any invalid value raises :class:`ConfigError`
+    naming the block it sits in.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a JSON object")
-    _no_extras(doc, _TOP_KEYS, "scenario")
-
-    mode = _require(doc, "mode", "scenario")
-    if mode not in ("free_camera", "uav"):
-        raise ConfigError(f"scenario: unknown mode {mode!r}")
-    mask = FULL_MASK if mode == "free_camera" else UAV_MASK
-
-    kd = _require(doc, "intrinsics", "scenario")
-    _no_extras(kd, {"alpha_x", "alpha_y", "c_u", "c_v", "width", "height"}, "intrinsics")
+    block = "scenario"
     try:
-        intrinsics = CameraIntrinsics(
-            alpha_x=float(_require(kd, "alpha_x", "intrinsics")),
-            alpha_y=float(_require(kd, "alpha_y", "intrinsics")),
-            c_u=float(_require(kd, "c_u", "intrinsics")),
-            c_v=float(_require(kd, "c_v", "intrinsics")),
-            width=int(_require(kd, "width", "intrinsics")),
-            height=int(_require(kd, "height", "intrinsics")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"intrinsics: {exc}") from exc
+        _object(doc, _TOP_KEYS, block)
+        mode = _require(doc, "mode", block)
+        if mode not in ("free_camera", "uav"):
+            raise ConfigError(f"scenario: unknown mode {mode!r}")
+        mask = FULL_MASK if mode == "free_camera" else UAV_MASK
 
-    depth = _require(doc, "depth", "scenario")
-    if depth != "altimeter":
-        try:
+        block = "intrinsics"
+        intrinsics = _parse_fields(CameraIntrinsics, _require(doc, "intrinsics", "scenario"), block)
+
+        block = "depth"
+        depth = _require(doc, "depth", "scenario")
+        if depth != "altimeter":
             depth = float(depth)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("depth must be 'altimeter' or a number") from exc
-        if depth <= 0:
-            raise ConfigError("fixed depth must be positive")
+            if not depth > 0:
+                raise ConfigError("fixed depth must be positive")
 
-    td = _require(doc, "target", "scenario")
-    _no_extras(td, {"base_vertices", "modes", "seed", "reference_pair"}, "target")
-    base = np.asarray(_require(td, "base_vertices", "target"), dtype=float)
-    if base.ndim != 2 or base.shape[1] != 2 or base.shape[0] < 3:
-        raise ConfigError("target.base_vertices must be an (N, 2) list, N >= 3")
-    modes = [_parse_mode(m, i) for i, m in enumerate(td.get("modes", []))]
-    ref = tuple(int(v) for v in td.get("reference_pair", (0, 1)))
-    if len(ref) != 2 or ref[0] == ref[1]:
-        raise ConfigError("target.reference_pair must be two distinct indices")
+        block = "target"
+        td = _object(
+            _require(doc, "target", "scenario"),
+            {"base_vertices", "modes", "seed", "reference_pair"},
+            block,
+        )
+        base = np.asarray(_require(td, "base_vertices", block), dtype=float)
+        if base.ndim != 2 or base.shape[1] != 2 or base.shape[0] < 3:
+            raise ConfigError("target.base_vertices must be an (N, 2) list, N >= 3")
+        ref = tuple(int(v) for v in td.get("reference_pair", (0, 1)))
+        if len(ref) != 2 or ref[0] == ref[1] or not all(0 <= i < len(base) for i in ref):
+            raise ConfigError("target.reference_pair must be two distinct vertex indices")
+        target_seed = int(td.get("seed", 0)) + seed_offset
+        modes = []
+        for i, entry in enumerate(td.get("modes", [])):
+            block = f"target.modes[{i}]"
+            kind = _require(entry, "type", block)
+            if kind not in _MODES:
+                raise ConfigError(f"{block}: unknown mode type {kind!r}")
+            modes.append(_parse_fields(_MODES[kind], entry, block, extra_keys=("type",)))
 
-    pd = _require(doc, "initial_pose", "scenario")
-    _no_extras(pd, {"position", "yaw"}, "initial_pose")
-    position = np.asarray(_require(pd, "position", "initial_pose"), dtype=float)
-    if position.shape != (3,):
-        raise ConfigError("initial_pose.position must have three entries")
-    if position[2] <= 0.1:
-        raise ConfigError("camera must start above the target plane (z > 0.1)")
+        block = "initial_pose"
+        pd = _object(_require(doc, "initial_pose", "scenario"), {"position", "yaw"}, block)
+        position = np.asarray(_require(pd, "position", block), dtype=float)
+        if position.shape != (3,):
+            raise ConfigError("initial_pose.position must have three entries")
+        if position[2] <= 0.1:
+            raise ConfigError("camera must start above the target plane (z > 0.1)")
+        initial_yaw = float(pd.get("yaw", 0.0))
 
-    x_des = np.asarray(_require(doc, "x_des", "scenario"), dtype=float)
-    if x_des.shape != (4,):
-        raise ConfigError("x_des must have four entries")
+        block = "x_des"
+        x_des = np.asarray(_require(doc, "x_des", "scenario"), dtype=float)
+        if x_des.shape != (4,):
+            raise ConfigError("x_des must have four entries")
 
-    ocp = _parse_ocp(_require(doc, "ocp", "scenario"), intrinsics, mask)
+        od = _object(_require(doc, "ocp", "scenario"), _OCP_KEYS, "ocp")
+        block = "ocp.solver"
+        solver = _parse_fields(SolverParams, od.get("solver", {}), block)
+        block = "ocp"
+        eps0 = od.get("eps0")
+        ocp = OcpConfig(
+            n=int(_require(od, "horizon", block)),
+            dt=float(_require(od, "dt", block)),
+            q=np.asarray(_require(od, "q", block), dtype=float),
+            r=np.asarray(_require(od, "r", block), dtype=float),
+            p=np.asarray(_require(od, "p", block), dtype=float),
+            visibility=VisibilityParams.from_intrinsics(
+                intrinsics, float(_require(od, "gamma", block))
+            ),
+            area_bounds=AreaBounds(
+                sigma_min=float(_require(od, "sigma_min", block)),
+                sigma_max=float(_require(od, "sigma_max", block)),
+                delta=float(_require(od, "delta", block)),
+            ),
+            limits=InputLimits(
+                nu_max=tuple(float(v) for v in _require(od, "nu_max", block)),
+                omega_max=tuple(float(v) for v in _require(od, "omega_max", block)),
+            ),
+            mask=mask,
+            solver=solver,
+            eps0=None if eps0 is None else float(eps0),
+        )
 
-    dd = doc.get("disturbance", {"bound": 0.0, "seed": 0})
-    _no_extras(dd, {"bound", "seed"}, "disturbance")
-    bound = float(dd.get("bound", 0.0))
-    if bound < 0:
-        raise ConfigError("disturbance.bound must be nonnegative")
-    dist_seed = int(dd.get("seed", 0)) + seed_offset
+        block = "disturbance"
+        dd = _object(doc.get("disturbance", {}), {"bound", "seed"}, block)
+        bound = float(dd.get("bound", 0.0))
+        if not bound >= 0:
+            raise ConfigError("disturbance.bound must be nonnegative")
+        dist_seed = int(dd.get("seed", 0)) + seed_offset
 
-    duration = float(_require(doc, "duration", "scenario"))
-    if duration <= 0:
-        raise ConfigError("duration must be positive")
+        block = "duration"
+        duration = float(_require(doc, "duration", "scenario"))
+        if not duration > 0:
+            raise ConfigError("duration must be positive")
 
-    estimator = doc.get("estimator", "centroid_fd")
-    if estimator not in ("centroid_fd", "none"):
-        raise ConfigError(f"unknown estimator {estimator!r}")
+        estimator = doc.get("estimator", "centroid_fd")
+        if estimator not in ("centroid_fd", "none"):
+            raise ConfigError(f"unknown estimator {estimator!r}")
 
-    cd = doc.get("convergence", {})
-    _no_extras(
-        cd,
-        {"window", "centroid_frac", "sigma_tol", "angle_deg", "barrier_margin"},
-        "convergence",
-    )
-    conv = ConvergenceSpec(
-        window=float(cd.get("window", 0.2)),
-        centroid_frac=float(cd.get("centroid_frac", 0.02)),
-        sigma_tol=float(cd.get("sigma_tol", 0.05)),
-        angle_deg=float(cd.get("angle_deg", 2.0)),
-        barrier_margin=float(cd.get("barrier_margin", 0.02)),
-    )
+        block = "convergence"
+        conv = _parse_fields(ConvergenceSpec, doc.get("convergence", {}), block)
+
+        block = "max_recovery_steps"
+        max_recovery_steps = int(doc.get("max_recovery_steps", 20))
+    except _VALUE_ERRORS as exc:
+        raise ConfigError(f"{block}: {exc}") from exc
 
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(
@@ -295,10 +278,10 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         depth=depth,
         target_base=base,
         target_modes=modes,
-        target_seed=int(td.get("seed", 0)) + seed_offset,
+        target_seed=target_seed,
         reference_pair=ref,
         initial_position=position,
-        initial_yaw=float(pd.get("yaw", 0.0)),
+        initial_yaw=initial_yaw,
         x_des=x_des,
         ocp=ocp,
         disturbance_bound=bound,
@@ -306,7 +289,7 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         duration=duration,
         estimator=estimator,
         convergence=conv,
-        max_recovery_steps=int(doc.get("max_recovery_steps", 20)),
+        max_recovery_steps=max_recovery_steps,
         raw=doc,
         config_hash=digest,
     )
@@ -314,11 +297,7 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
 
 def load_scenario(path, seed_offset: int = 0) -> ScenarioConfig:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_scenario(doc, name_hint=path.stem, seed_offset=seed_offset)
+    return parse_scenario(_read_json(path), name_hint=path.stem, seed_offset=seed_offset)
 
 
 @dataclass
@@ -339,28 +318,27 @@ class BatchSpec:
 
 def load_batch(path) -> BatchSpec:
     path = Path(path)
+    doc = _read_json(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("batch document must be a JSON object")
-    _no_extras(doc, {"scenarios", "repetitions", "base_seed"}, "batch")
-    scenarios = _require(doc, "scenarios", "batch")
-    if not scenarios:
-        raise ConfigError("batch: scenarios list is empty")
-    paths = [path.parent / p for p in scenarios]
-    stems = [Path(p).stem for p in paths]
-    if len(set(stems)) != len(stems):
-        raise ConfigError("batch: scenario file stems must be unique")
-    for p in paths:
-        if not Path(p).exists():
-            raise ConfigError(f"batch: scenario file not found: {p}")
-    reps = int(doc.get("repetitions", 1))
-    if reps < 1:
-        raise ConfigError("batch: repetitions must be at least 1")
+        _object(doc, {"scenarios", "repetitions", "base_seed"}, "batch")
+        scenarios = _require(doc, "scenarios", "batch")
+        if not scenarios:
+            raise ConfigError("batch: scenarios list is empty")
+        paths = [path.parent / p for p in scenarios]
+        stems = [p.stem for p in paths]
+        if len(set(stems)) != len(stems):
+            raise ConfigError("batch: scenario file stems must be unique")
+        for p in paths:
+            if not os.path.exists(p):
+                raise ConfigError(f"batch: scenario file not found: {p}")
+        reps = int(doc.get("repetitions", 1))
+        if reps < 1:
+            raise ConfigError("batch: repetitions must be at least 1")
+        base_seed = int(doc.get("base_seed", 0))
+    except _VALUE_ERRORS as exc:
+        raise ConfigError(f"batch: {exc}") from exc
     return BatchSpec(
         scenario_paths=[str(p) for p in paths],
         repetitions=reps,
-        base_seed=int(doc.get("base_seed", 0)),
+        base_seed=base_seed,
     )

@@ -28,6 +28,7 @@ difference constants.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field, replace
 
@@ -81,19 +82,30 @@ __all__ = [
 ]
 
 
+# Fixed numerical constants of the method; scenarios do not set them.
+_FD_STEP = 1e-6  # central-difference step of the cost gradient
+_ARMIJO_C1 = 1e-4  # sufficient-decrease factor of the line search
+_BACKTRACK = 0.5  # step-length ratio of the line search
+_MAX_LS_STEPS = 30  # step lengths tried before a solve stops with no_descent
+_LS_LADDER = _BACKTRACK ** np.arange(_MAX_LS_STEPS, dtype=float)
+_LS_LADDER.setflags(write=False)
+# Local tail controller: feedback gain, pseudo-inverse damping, and the
+# command bound as a fraction of the input limits.
+_LOCAL_GAIN = 1.2
+_LOCAL_DAMPING = 0.05
+_LOCAL_CLAMP = 0.95
+_ABAR_LIMIT = 2.0  # half-width of the angle-state box (diagnostics)
+
+
 @dataclass
 class SolverParams:
     max_iters: int = 30
     grad_tol: float = 1e-5
-    fd_step: float = 1e-6
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_ls_steps: int = 30
 
 
 @dataclass
 class OcpConfig:
-    """Horizon, weights, constraint parameters, and solver knobs."""
+    """Horizon, weights, constraint parameters, and solver limits."""
 
     n: int
     dt: float
@@ -105,10 +117,6 @@ class OcpConfig:
     limits: InputLimits
     mask: np.ndarray = None
     solver: SolverParams = field(default_factory=SolverParams)
-    local_gain: float = 1.2
-    local_damping: float = 0.05
-    local_clamp: float = 0.95
-    abar_limit: float = 2.0  # half-width of the angle-state box (diagnostics)
     eps0: float | None = None  # terminal ball radius; None = auto-fit
 
     def __post_init__(self):
@@ -398,7 +406,7 @@ class _OcpKernel:
         """Central-difference gradient of the flattened control vector."""
         cfg = self.cfg
         d = theta.size
-        h = cfg.solver.fd_step
+        h = _FD_STEP
         pert = np.repeat(theta[None], 2 * d, axis=0)
         idx = np.arange(d)
         pert[idx, idx] += h
@@ -481,12 +489,11 @@ def solve_ocp(
 
             # Armijo backtracking, whole ladder of step lengths per batch.
             t, fc = None, None
-            ladder = sp.backtrack ** np.arange(sp.max_ls_steps, dtype=float)
-            for start in range(0, sp.max_ls_steps, 8):
-                ts = ladder[start : start + 8]
+            for start in range(0, _MAX_LS_STEPS, 8):
+                ts = _LS_LADDER[start : start + 8]
                 cands = theta[None] + ts[:, None] * d[None]
                 fs = kern.cost(cands.reshape(-1, n, m))
-                ok = np.isfinite(fs) & (fs <= f + sp.armijo_c1 * ts * slope)
+                ok = np.isfinite(fs) & (fs <= f + _ARMIJO_C1 * ts * slope)
                 if ok.any():
                     j = int(np.argmax(ok))  # largest passing step
                     t, fc = float(ts[j]), float(fs[j])
@@ -556,11 +563,28 @@ def local_controller_h(x_err, poly: PolygonFeatures, cfg: OcpConfig, z: float, x
     g = dynamics_matrix(poly, x, z)[:, cfg.mask]
     if np.linalg.matrix_rank(g, tol=1e-10) < 4:
         return np.zeros(cfg.n_inputs)
-    lam = cfg.local_damping
-    ggt = g @ g.T + (lam * lam) * np.eye(4)
-    nu = -cfg.local_gain * (g.T @ np.linalg.solve(ggt, x_err))
-    bound = cfg.local_clamp * cfg.masked_limits
+    ggt = g @ g.T + (_LOCAL_DAMPING * _LOCAL_DAMPING) * np.eye(4)
+    nu = -_LOCAL_GAIN * (g.T @ np.linalg.solve(ggt, x_err))
+    bound = _LOCAL_CLAMP * cfg.masked_limits
     return np.clip(nu, -bound, bound)
+
+
+def _keep_freed_heap():
+    """Fix glibc's heap thresholds so freed kernel temporaries are reused.
+
+    With the default, self-adjusting thresholds, whether each kernel call's
+    temporaries are returned to the OS and faulted in again by the next call
+    depends on heap layout, which unrelated edits change. No-op without
+    ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks under 4 MB come from the heap
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: keep up to 32 MB of free heap
 
 
 class RecedingHorizonController:
@@ -573,6 +597,7 @@ class RecedingHorizonController:
     """
 
     def __init__(self, cfg: OcpConfig, x_des, z: float | None = None):
+        _keep_freed_heap()
         self.cfg = cfg
         self.x_des = np.asarray(x_des, dtype=float)
         self.anchor = RecenteringAnchor(self.x_des, cfg.visibility, cfg.area_bounds)
@@ -659,6 +684,11 @@ def _geometric_sum(L_f: float, k: int) -> float:
     return (L_f**k - 1.0) / (L_f - 1.0)
 
 
+def _cost_difference_constant(L_E: float, L_F: float, L_f: float, k: int) -> float:
+    """Optimal-cost difference constant ``L_zm`` with ``k = n - 1 - m`` steps left."""
+    return L_E * L_f**k + L_F * _geometric_sum(L_f, k)
+
+
 def prediction_error_bound(i: int, xi: float, L_f: float) -> float:
     """Accumulated prediction-error bound after ``i`` disturbed steps."""
     if i < 0:
@@ -689,8 +719,7 @@ def cost_difference_bound(m: int, e: float, cfg: OcpConfig, diag, state_norms=()
     stage-cost lower-bound sum. Returns ``(bound, L_zm)``.
     """
     L_f = diag.L_f if L_f is None else L_f
-    k = (cfg.n - 1) - m
-    L_zm = diag.L_E * L_f**k + diag.L_F * _geometric_sum(L_f, k)
+    L_zm = _cost_difference_constant(diag.L_E, diag.L_F, L_f, (cfg.n - 1) - m)
     lower_sum = diag.F_lower * float(sum(v * v for v in state_norms))
     return float(L_zm * e - lower_sum), float(L_zm)
 
@@ -838,7 +867,7 @@ def compute_diagnostics(
             max(abs(vis.x_min), abs(vis.x_max)),
             max(abs(vis.y_min), abs(vis.y_max)),
             max(abs(np.log(cfg.area_bounds.sigma_min)), abs(np.log(cfg.area_bounds.sigma_max))),
-            cfg.abar_limit,
+            _ABAR_LIMIT,
         ]
     )
     eps0_max = _auto_eps0(cfg, x_des)
@@ -866,10 +895,9 @@ def compute_diagnostics(
         anchor = RecenteringAnchor(x_des, cfg.visibility, cfg.area_bounds)
         L_FV_emp = empirical_lipschitz_FV(cfg, anchor, rng)
 
-    L_zm = np.empty(cfg.n)
-    for m in range(cfg.n):
-        k = (cfg.n - 1) - m
-        L_zm[m] = L_E * L_f**k + L_F * _geometric_sum(L_f, k)
+    L_zm = np.array(
+        [_cost_difference_constant(L_E, L_F, L_f, (cfg.n - 1) - m) for m in range(cfg.n)]
+    )
 
     return DiagnosticsBundle(
         L_f=L_f,

@@ -6,9 +6,11 @@ shoelace area, and the tangent of the reference angle (the direction from
 the centroid to the midpoint of two reference vertices).
 
 All public functions operate on a single polygon. The ``_batch``-suffixed
-helpers accept leading batch dimensions on the vertex array and are used by
-the predictive controller, which rolls out many candidate trajectories at
-once; they skip validation and report trouble through non-finite outputs.
+helpers hold their arithmetic with leading batch dimensions allowed; they
+skip validation and report trouble through non-finite outputs. Besides the
+public functions here, only the sampled one-step Lipschitz estimate in
+:mod:`polyservo.nmpc` calls them: the controller's rollout is its own fused
+pass there, checked against :func:`propagate_discrete`.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ __all__ = [
     "project_target",
     "step_world",
     "inject_disturbance",
+    "opening_scene",
     "run_scenario",
 ]
 
@@ -182,6 +183,27 @@ def _depth_for_controller(depth_cfg, pose: CameraPose) -> float:
     return float(depth_cfg)
 
 
+def opening_scene(cfg):
+    """``(target, pose, s0, diagnostics)`` a session of ``cfg`` starts from.
+
+    ``s0`` is the target's true t=0 projection from the level initial pose;
+    the diagnostics are evaluated on it at the controller's depth.
+    """
+    target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
+    target.validate(cfg.duration)
+    pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
+    world_pts, _ = target.sample(0.0)
+    s0, _ = project_target(pose, world_pts)
+    diag = compute_diagnostics(
+        cfg.ocp,
+        _depth_for_controller(cfg.depth, pose),
+        cfg.x_des,
+        ref_polys=[PolygonFeatures(s0, cfg.reference_pair)],
+        rng=np.random.default_rng(cfg.disturbance_seed + 1),
+    )
+    return target, pose, s0, diag
+
+
 def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
     """Deterministic closed-loop run of one scenario.
 
@@ -191,16 +213,11 @@ def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
     infeasibility) produce a log with the ``aborted`` reason set instead of
     raising.
     """
-    target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
-    target.validate(cfg.duration)
-
-    pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
+    target, pose, s_true, diag = opening_scene(cfg)
     rng = np.random.default_rng(cfg.disturbance_seed)
     dt = cfg.ocp.dt
     n_steps = int(round(cfg.duration / dt))
 
-    world_pts, _ = target.sample(0.0)
-    s_true, _ = project_target(pose, world_pts)
     x_true = extract_state(PolygonFeatures(s_true, cfg.reference_pair))
     x_meas = x_true + inject_disturbance(rng, cfg.disturbance_bound)
 
@@ -214,15 +231,6 @@ def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
     truth_rows = []
     aborted = None
     consecutive_recoveries = 0
-
-    ref_poly0 = PolygonFeatures(s_true, cfg.reference_pair)
-    diag = compute_diagnostics(
-        cfg.ocp,
-        _depth_for_controller(cfg.depth, pose),
-        cfg.x_des,
-        ref_polys=[ref_poly0],
-        rng=np.random.default_rng(cfg.disturbance_seed + 1),
-    )
 
     for k_step in range(n_steps):
         t = k_step * dt

@@ -1,0 +1,225 @@
+"""Config parsing: malformed documents raise ConfigError, never another error.
+
+``parse_scenario`` and ``load_batch`` take documents from outside the
+program. A wrong-typed, missing, unknown or out-of-range value must end in
+:class:`ConfigError`, which the CLI reports with exit code 1. The property
+tests mutate the reference configs under ``configs/`` one edit at a time:
+swap a node for a value of another JSON type, drop a key, add an unknown
+key, or replace an object with a non-object.
+"""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import polyservo
+from polyservo.cli import main as cli_main
+from polyservo.config import load_batch, load_scenario, parse_scenario
+from polyservo.errors import ConfigError
+from test_world import tiny_scenario_doc
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SCENARIOS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+BATCH = SCENARIOS.pop("batch_reference")
+# Absolute scenario paths, so a mutated batch file can live anywhere.
+BATCH["scenarios"] = [str(CONFIGS / name) for name in BATCH["scenarios"]]
+
+PROPS = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+json_values = st.recursive(
+    _scalars,
+    lambda kids: (
+        st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+def _nodes(value, path=()):
+    """Every path into a JSON value, the root included."""
+    yield path
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _nodes(v, path + (i,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated(draw, reference):
+    """``reference`` with one edit: swap, drop, add or non_object."""
+    doc = copy.deepcopy(reference)
+    paths = list(_nodes(doc))
+    objects = [p for p in paths if isinstance(_get(doc, p), dict)]
+    kind = draw(st.sampled_from(["swap", "drop", "add", "non_object"]))
+    if kind == "add":
+        _get(doc, draw(st.sampled_from(objects)))["unexpected_key"] = draw(json_values)
+        return doc
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p in paths[1:] if isinstance(_get(doc, p[:-1]), dict)]))
+        del _get(doc, path[:-1])[path[-1]]
+        return doc
+    if kind == "swap":
+        path = draw(st.sampled_from(paths))
+        old = _get(doc, path)
+        new = draw(json_values.filter(lambda v: type(v) is not type(old)))
+    else:
+        path = draw(st.sampled_from(objects))
+        new = draw(json_values.filter(lambda v: not isinstance(v, dict)))
+    if not path:
+        return new
+    _get(doc, path[:-1])[path[-1]] = new
+    return doc
+
+
+@PROPS
+@given(st.sampled_from(sorted(SCENARIOS)), st.data())
+def test_mutated_scenario_parses_or_raises_config_error(name, data):
+    doc = data.draw(mutated(SCENARIOS[name]))
+    try:
+        parse_scenario(doc, name)
+    except ConfigError:
+        pass
+
+
+@PROPS
+@given(st.data())
+def test_mutated_batch_loads_or_raises_config_error(tmp_path_factory, data):
+    doc = data.draw(mutated(BATCH))
+    spec = tmp_path_factory.mktemp("batch") / "batch.json"
+    spec.write_text(json.dumps(doc))
+    try:
+        load_batch(spec)
+    except ConfigError:
+        pass
+
+
+@settings(PROPS, max_examples=100)
+@given(st.binary(max_size=64))
+def test_garbage_file_raises_config_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("garbage") / "garbage.json"
+    path.write_bytes(blob)
+    for load in (load_scenario, load_batch):
+        with pytest.raises(ConfigError):
+            load(path)
+
+
+def _set(path, value):
+    doc = tiny_scenario_doc()
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("duration",), "abc"),
+        (("x_des",), "abc"),
+        (("target", "base_vertices"), "square"),
+        (("intrinsics",), 5),
+        (("disturbance", "seed"), "x"),
+        (("target", "reference_pair"), ["a", 1]),
+        (("target", "reference_pair"), [0, 4]),
+        (("convergence",), {"window": "x"}),
+        (("convergence",), {"window": 0}),
+        (("target", "modes"), 3),
+        (("target", "modes"), [{"type": "rigid_spin", "rate": [1.0]}]),
+        (("ocp", "solver"), {"max_iters": 1e400}),
+    ],
+)
+def test_bad_value_raises_config_error(path, value):
+    with pytest.raises(ConfigError, match=path[0]):
+        parse_scenario(_set(path, value))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("ocp", "solver", "fd_step"),
+        ("ocp", "solver", "armijo_c1"),
+        ("ocp", "solver", "backtrack"),
+        ("ocp", "solver", "max_ls_steps"),
+        ("ocp", "local_gain"),
+        ("ocp", "local_damping"),
+        ("ocp", "local_clamp"),
+        ("ocp", "abar_limit"),
+    ],
+)
+def test_fixed_solver_constants_are_unknown_keys(path):
+    with pytest.raises(ConfigError, match=f"unknown keys.*{path[-1]}"):
+        parse_scenario(_set(path, 1.0))
+
+
+def test_defaults_come_from_the_dataclasses():
+    cfg = parse_scenario(tiny_scenario_doc())
+    wave = {"type": "traveling_wave", "amplitude": 0.01, "wavelength": 0.8, "speed": 0.1}
+    doc = tiny_scenario_doc(convergence={"angle_deg": 3.0})
+    doc["target"]["modes"] = [wave]
+    custom = parse_scenario(doc)
+    assert cfg.convergence.window == custom.convergence.window == 0.2
+    assert custom.convergence.angle_deg == 3.0
+    assert custom.target_modes[0].axis == (1.0, 0.0)
+    assert cfg.ocp.solver.max_iters == 12 and cfg.ocp.solver.grad_tol == 0.0005
+
+
+def _cli(*args, cwd):
+    src = str(Path(polyservo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "polyservo.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("run", tiny_scenario_doc(duration="abc")),
+        ("diagnose", tiny_scenario_doc(intrinsics=5)),
+        ("batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "repetitions": "x"}),
+    ],
+)
+def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = _cli(command, str(path), cwd=tmp_path)
+    assert res.returncode == 1
+    assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_diagnose_setpoint_outside_safe_set_exits_two(tmp_path, capsys):
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(tiny_scenario_doc(x_des=[5.0, 0.0, -2.40795, 0.0])))
+    assert cli_main(["diagnose", str(path)]) == 2
+    assert "diagnose failed" in capsys.readouterr().err

@@ -22,6 +22,9 @@ from polyservo.errors import (
     StepDegeneracy,
 )
 from polyservo.nmpc import (
+    _LOCAL_CLAMP,
+    _LOCAL_DAMPING,
+    _LOCAL_GAIN,
     _OcpKernel,
     compute_diagnostics,
     cost_difference_bound,
@@ -280,8 +283,8 @@ class TestLocalController:
 
         x = extract_state(pentagon)
         g = dynamics_matrix(pentagon, x, Z)[:, small_ocp.mask]
-        ggt = g @ g.T + small_ocp.local_damping**2 * np.eye(4)
-        L_h = small_ocp.local_gain * np.linalg.norm(g.T @ np.linalg.inv(ggt), 2)
+        ggt = g @ g.T + _LOCAL_DAMPING**2 * np.eye(4)
+        L_h = _LOCAL_GAIN * np.linalg.norm(g.T @ np.linalg.inv(ggt), 2)
         rng = np.random.default_rng(6)
         for _ in range(200):
             e = rng.uniform(-0.2, 0.2, 4)
@@ -290,7 +293,7 @@ class TestLocalController:
 
     def test_clamped_inside_limits(self, small_ocp, pentagon):
         nu = local_controller_h(np.array([5.0, -5.0, 5.0, -5.0]), pentagon, small_ocp, Z)
-        assert (np.abs(nu) <= small_ocp.local_clamp * small_ocp.masked_limits + 1e-15).all()
+        assert (np.abs(nu) <= _LOCAL_CLAMP * small_ocp.masked_limits + 1e-15).all()
 
     def test_one_step_error_decrease(self, small_ocp, pentagon):
         x = extract_state(pentagon)
