@@ -65,7 +65,6 @@ from .targets import (
     Breathing,
     CentroidFlowEstimator,
     DeformableTarget,
-    FlowEstimate,
     RigidDrift,
     RigidSpin,
     TravelingWave,

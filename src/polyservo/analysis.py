@@ -146,14 +146,14 @@ def write_run_outputs(log: SimLog, cfg: ScenarioConfig, out_dir, plots: bool = T
 
 
 def _run_session(args):
-    scenario_path, session_name, seed_offset, out_dir, window = args
+    scenario_path, session_name, seed_offset, out_dir = args
     cfg = load_scenario(scenario_path, seed_offset=seed_offset)
     cfg.name = session_name
     log = run_scenario(cfg)
     csv_path = write_run_outputs(log, cfg, out_dir, plots=False)
     converged = convergence_ok(log, cfg)
     try:
-        sse = steady_state_error(log, window)
+        sse = steady_state_error(log, cfg.convergence.window)
     except ShortRun:
         sse = None
     return {
@@ -165,17 +165,17 @@ def _run_session(args):
     }
 
 
-def run_batch(spec: BatchSpec, out_dir, jobs: int = 1, window: float = 0.2):
+def run_batch(spec: BatchSpec, out_dir, jobs: int = 1):
     """Run every session of a batch; write per-session CSVs plus aggregates.
 
-    Individual aborts are recorded and do not stop the batch. Returns a
-    summary dict with per-session results and the aggregate statistics.
+    Each session's steady-state errors are taken over its own scenario's
+    ``convergence.window``. Individual aborts are recorded and do not stop
+    the batch. Returns a summary dict with per-session results and the
+    aggregate statistics.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (path, name, off, str(out_dir), window) for path, name, off in spec.sessions()
-    ]
+    tasks = [(path, name, off, str(out_dir)) for path, name, off in spec.sessions()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_session, tasks))

@@ -1,10 +1,11 @@
 """Scenario and batch configuration files.
 
 Configs are JSON documents. Parsing is strict: unknown keys anywhere in the
-document are rejected so typos cannot silently disable a setting. Numeric
-fields are SI units (meters, seconds, radians) except where noted; image
-quantities are pixels in the intrinsics block and normalized units
-elsewhere.
+document are rejected so typos cannot silently disable a setting, and every
+numeric value must be a finite JSON number (not a string or a boolean),
+integral where an integer is expected. Numeric fields are SI units (meters,
+seconds, radians) except where noted; image quantities are pixels in the
+intrinsics block and normalized units elsewhere.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 import typing
 from dataclasses import dataclass, field
@@ -110,6 +113,27 @@ _TOP_KEYS = {
 _VALUE_ERRORS = (TypeError, ValueError, OverflowError)
 
 
+def _number(value, typ=float):
+    """JSON number ``value`` as ``typ``: finite for float, integral for int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    if typ is int:
+        if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _floats(value):
+    """A JSON number or (nested) list of numbers as a float array."""
+    if isinstance(value, list):
+        return np.array([_floats(v) for v in value], dtype=float)
+    return np.asarray(_number(value))
+
+
 def _require(d, key, ctx):
     if key not in d:
         raise ConfigError(f"{ctx}: missing key {key!r}")
@@ -130,8 +154,9 @@ def _parse_fields(cls, d, ctx, extra_keys=()):
     """Build dataclass ``cls`` from JSON object ``d``, one key per field.
 
     Keys, required keys and defaults come from the fields of ``cls``; each
-    value is converted by its annotated type (``tuple``: of floats).
-    ``extra_keys`` are also allowed in ``d`` and left to the caller.
+    value is converted by :func:`_number` to its annotated type (``tuple``:
+    of floats). ``extra_keys`` are also allowed in ``d`` and left to the
+    caller.
     """
     fields = dataclasses.fields(cls)
     _object(d, {f.name for f in fields} | set(extra_keys), ctx)
@@ -140,7 +165,9 @@ def _parse_fields(cls, d, ctx, extra_keys=()):
     for f in fields:
         if f.name in d:
             typ, value = types[f.name], d[f.name]
-            kwargs[f.name] = tuple(float(v) for v in value) if typ is tuple else typ(value)
+            kwargs[f.name] = (
+                tuple(_number(v) for v in value) if typ is tuple else _number(value, typ)
+            )
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{ctx}: missing key {f.name!r}")
     return cls(**kwargs)
@@ -175,7 +202,7 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         block = "depth"
         depth = _require(doc, "depth", "scenario")
         if depth != "altimeter":
-            depth = float(depth)
+            depth = _number(depth)
             if not depth > 0:
                 raise ConfigError("fixed depth must be positive")
 
@@ -185,13 +212,13 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
             {"base_vertices", "modes", "seed", "reference_pair"},
             block,
         )
-        base = np.asarray(_require(td, "base_vertices", block), dtype=float)
+        base = _floats(_require(td, "base_vertices", block))
         if base.ndim != 2 or base.shape[1] != 2 or base.shape[0] < 3:
             raise ConfigError("target.base_vertices must be an (N, 2) list, N >= 3")
-        ref = tuple(int(v) for v in td.get("reference_pair", (0, 1)))
+        ref = tuple(_number(v, int) for v in td.get("reference_pair", (0, 1)))
         if len(ref) != 2 or ref[0] == ref[1] or not all(0 <= i < len(base) for i in ref):
             raise ConfigError("target.reference_pair must be two distinct vertex indices")
-        target_seed = int(td.get("seed", 0)) + seed_offset
+        target_seed = _number(td.get("seed", 0), int) + seed_offset
         modes = []
         for i, entry in enumerate(td.get("modes", [])):
             block = f"target.modes[{i}]"
@@ -202,15 +229,15 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
 
         block = "initial_pose"
         pd = _object(_require(doc, "initial_pose", "scenario"), {"position", "yaw"}, block)
-        position = np.asarray(_require(pd, "position", block), dtype=float)
+        position = _floats(_require(pd, "position", block))
         if position.shape != (3,):
             raise ConfigError("initial_pose.position must have three entries")
         if position[2] <= 0.1:
             raise ConfigError("camera must start above the target plane (z > 0.1)")
-        initial_yaw = float(pd.get("yaw", 0.0))
+        initial_yaw = _number(pd.get("yaw", 0.0))
 
         block = "x_des"
-        x_des = np.asarray(_require(doc, "x_des", "scenario"), dtype=float)
+        x_des = _floats(_require(doc, "x_des", "scenario"))
         if x_des.shape != (4,):
             raise ConfigError("x_des must have four entries")
 
@@ -220,37 +247,37 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         block = "ocp"
         eps0 = od.get("eps0")
         ocp = OcpConfig(
-            n=int(_require(od, "horizon", block)),
-            dt=float(_require(od, "dt", block)),
-            q=np.asarray(_require(od, "q", block), dtype=float),
-            r=np.asarray(_require(od, "r", block), dtype=float),
-            p=np.asarray(_require(od, "p", block), dtype=float),
+            n=_number(_require(od, "horizon", block), int),
+            dt=_number(_require(od, "dt", block)),
+            q=_floats(_require(od, "q", block)),
+            r=_floats(_require(od, "r", block)),
+            p=_floats(_require(od, "p", block)),
             visibility=VisibilityParams.from_intrinsics(
-                intrinsics, float(_require(od, "gamma", block))
+                intrinsics, _number(_require(od, "gamma", block))
             ),
             area_bounds=AreaBounds(
-                sigma_min=float(_require(od, "sigma_min", block)),
-                sigma_max=float(_require(od, "sigma_max", block)),
-                delta=float(_require(od, "delta", block)),
+                sigma_min=_number(_require(od, "sigma_min", block)),
+                sigma_max=_number(_require(od, "sigma_max", block)),
+                delta=_number(_require(od, "delta", block)),
             ),
             limits=InputLimits(
-                nu_max=tuple(float(v) for v in _require(od, "nu_max", block)),
-                omega_max=tuple(float(v) for v in _require(od, "omega_max", block)),
+                nu_max=tuple(_number(v) for v in _require(od, "nu_max", block)),
+                omega_max=tuple(_number(v) for v in _require(od, "omega_max", block)),
             ),
             mask=mask,
             solver=solver,
-            eps0=None if eps0 is None else float(eps0),
+            eps0=None if eps0 is None else _number(eps0),
         )
 
         block = "disturbance"
         dd = _object(doc.get("disturbance", {}), {"bound", "seed"}, block)
-        bound = float(dd.get("bound", 0.0))
+        bound = _number(dd.get("bound", 0.0))
         if not bound >= 0:
             raise ConfigError("disturbance.bound must be nonnegative")
-        dist_seed = int(dd.get("seed", 0)) + seed_offset
+        dist_seed = _number(dd.get("seed", 0), int) + seed_offset
 
         block = "duration"
-        duration = float(_require(doc, "duration", "scenario"))
+        duration = _number(_require(doc, "duration", "scenario"))
         if not duration > 0:
             raise ConfigError("duration must be positive")
 
@@ -262,7 +289,7 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         conv = _parse_fields(ConvergenceSpec, doc.get("convergence", {}), block)
 
         block = "max_recovery_steps"
-        max_recovery_steps = int(doc.get("max_recovery_steps", 20))
+        max_recovery_steps = _number(doc.get("max_recovery_steps", 20), int)
     except _VALUE_ERRORS as exc:
         raise ConfigError(f"{block}: {exc}") from exc
 
@@ -331,10 +358,10 @@ def load_batch(path) -> BatchSpec:
         for p in paths:
             if not os.path.exists(p):
                 raise ConfigError(f"batch: scenario file not found: {p}")
-        reps = int(doc.get("repetitions", 1))
+        reps = _number(doc.get("repetitions", 1), int)
         if reps < 1:
             raise ConfigError("batch: repetitions must be at least 1")
-        base_seed = int(doc.get("base_seed", 0))
+        base_seed = _number(doc.get("base_seed", 0), int)
     except _VALUE_ERRORS as exc:
         raise ConfigError(f"batch: {exc}") from exc
     return BatchSpec(

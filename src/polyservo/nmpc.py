@@ -29,8 +29,7 @@ difference constants.
 from __future__ import annotations
 
 import ctypes
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from .barriers import (
     barrier_Bx,
     fov_distance,
 )
-from .camera import FULL_MASK, interaction_matrices
+from .camera import FULL_MASK
 from .errors import InfeasibleRollout, InfeasibleStart, PolyServoError
 from .polygon import (
     EPS_ANGLE,
@@ -604,9 +603,6 @@ class RecedingHorizonController:
         self.z = z
         self._prev_controls = None
 
-    def reset(self):
-        self._prev_controls = None
-
     def warm_start(self, poly: PolygonFeatures, x0, flow, z: float):
         """Shift-by-one warm start with a local-controller tail action.
 
@@ -639,10 +635,8 @@ class RecedingHorizonController:
                 poly, x_meas, flow, cfg, self.x_des, z, warm_start=warm, anchor=self.anchor
             )
         except InfeasibleStart:
-            self._prev_controls = None
-            nu_m = local_controller_h(x_meas - self.x_des, poly, cfg, z, x=x_meas)
-            return StepResult(nu=self._expand(nu_m), solution=None, recovered=True)
-        if not np.isfinite(sol.cost):
+            sol = None
+        if sol is None or not np.isfinite(sol.cost):
             self._prev_controls = None
             nu_m = local_controller_h(x_meas - self.x_des, poly, cfg, z, x=x_meas)
             return StepResult(nu=self._expand(nu_m), solution=sol, recovered=True)
@@ -811,22 +805,13 @@ class DiagnosticsBundle:
         return float(x_err @ (self.p_weights * x_err)) <= self.a_eps
 
     def to_dict(self):
-        return {
-            "L_f": self.L_f,
-            "L_f_emp": self.L_f_emp,
-            "L_F": self.L_F,
-            "L_E": self.L_E,
-            "F_lower": self.F_lower,
-            "eps0": self.eps0,
-            "a_eps": self.a_eps,
-            "a_eps_f": self.a_eps_f,
-            "xi_max": self.xi_max,
-            "xi_max_emp": self.xi_max_emp,
-            "L_FV_emp": self.L_FV_emp,
-            "xi_max_per_m": [float(v) for v in self.xi_max_per_m],
-            "L_zm": [float(v) for v in self.L_zm],
-            "state_box": [float(v) for v in self.state_box],
-        }
+        """The run sidecar's constants: every field but ``p_weights``."""
+        out = {}
+        for f in fields(self):
+            if f.name != "p_weights":
+                v = getattr(self, f.name)
+                out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+        return out
 
 
 def _auto_eps0(cfg: OcpConfig, x_des):

@@ -15,7 +15,7 @@ pass there, checked against :func:`propagate_discrete`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,11 +8,14 @@ so replays are bit-identical.
 Mode composition order: breathing scale about the base centroid, then the
 traveling-wave displacement, then rigid spin about the base centroid, then
 rigid drift. Velocities are the analytic time derivatives of that chain.
+
+The flow estimator returns the target's image motion as one plain ``(2,)``
+centroid velocity; the controller applies it to every vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +27,6 @@ __all__ = [
     "Breathing",
     "TravelingWave",
     "DeformableTarget",
-    "FlowEstimate",
     "estimate_centroid_flow",
     "CentroidFlowEstimator",
     "image_flow_from_world",
@@ -187,18 +189,8 @@ class DeformableTarget:
                 raise DegenerateTarget(f"target self-intersects at t={t:.3f}")
 
 
-@dataclass(frozen=True)
-class FlowEstimate:
-    """Estimated target-induced image flow: one centroid velocity, broadcast."""
-
-    centroid_flow: np.ndarray  # (2,) normalized units / s
-
-    def per_vertex(self, n: int):
-        return np.broadcast_to(self.centroid_flow, (n, 2)).copy()
-
-
-def estimate_centroid_flow(prev, curr, L_hat, nu_hat) -> FlowEstimate:
-    """Finite-difference centroid flow with camera motion removed.
+def estimate_centroid_flow(prev, curr, L_hat, nu_hat):
+    """Finite-difference centroid flow ``(2,)`` with camera motion removed.
 
     ``prev`` and ``curr`` are ``(centroid (2,), time)`` samples; ``L_hat`` is
     the 2x6 centroid interaction matrix approximation and ``nu_hat`` the
@@ -209,8 +201,7 @@ def estimate_centroid_flow(prev, curr, L_hat, nu_hat) -> FlowEstimate:
     if dt <= 0:
         raise ValueError("samples must be time-ordered")
     ds = (np.asarray(s_curr, dtype=float) - np.asarray(s_prev, dtype=float)) / dt
-    flow = ds - np.asarray(L_hat, dtype=float) @ np.asarray(nu_hat, dtype=float)
-    return FlowEstimate(centroid_flow=flow)
+    return ds - np.asarray(L_hat, dtype=float) @ np.asarray(nu_hat, dtype=float)
 
 
 class CentroidFlowEstimator:
@@ -223,17 +214,14 @@ class CentroidFlowEstimator:
     def __init__(self):
         self._prev = None
 
-    def reset(self):
-        self._prev = None
-
-    def update(self, sbar, t: float, L_hat, nu_hat) -> FlowEstimate:
+    def update(self, sbar, t: float, L_hat, nu_hat):
         sbar = np.asarray(sbar, dtype=float).copy()
         if self._prev is None:
             self._prev = (sbar, t)
-            return FlowEstimate(centroid_flow=np.zeros(2))
-        est = estimate_centroid_flow(self._prev, (sbar, t), L_hat, nu_hat)
+            return np.zeros(2)
+        flow = estimate_centroid_flow(self._prev, (sbar, t), L_hat, nu_hat)
         self._prev = (sbar, t)
-        return est
+        return flow
 
 
 def image_flow_from_world(world_pts, world_vels, cam_pos, cam_rot):

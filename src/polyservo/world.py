@@ -22,7 +22,7 @@ from .barriers import constraint_L1, constraint_L2
 from .camera import CameraIntrinsics, interaction_matrices, normalized_to_pixel
 from .errors import TargetLost
 from .nmpc import RecedingHorizonController, compute_diagnostics
-from .polygon import PolygonFeatures, centroid, extract_state
+from .polygon import PolygonFeatures, extract_state
 from .targets import CentroidFlowEstimator, DeformableTarget
 
 __all__ = [
@@ -184,24 +184,25 @@ def _depth_for_controller(depth_cfg, pose: CameraPose) -> float:
 
 
 def opening_scene(cfg):
-    """``(target, pose, s0, diagnostics)`` a session of ``cfg`` starts from.
+    """``(target, pose, poly0, diagnostics)`` a session of ``cfg`` starts from.
 
-    ``s0`` is the target's true t=0 projection from the level initial pose;
-    the diagnostics are evaluated on it at the controller's depth.
+    ``poly0`` is the target's true t=0 projection from the level initial
+    pose; the diagnostics are evaluated on it at the controller's depth.
     """
     target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
     target.validate(cfg.duration)
     pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
     world_pts, _ = target.sample(0.0)
     s0, _ = project_target(pose, world_pts)
+    poly0 = PolygonFeatures(s0, cfg.reference_pair)
     diag = compute_diagnostics(
         cfg.ocp,
         _depth_for_controller(cfg.depth, pose),
         cfg.x_des,
-        ref_polys=[PolygonFeatures(s0, cfg.reference_pair)],
+        ref_polys=[poly0],
         rng=np.random.default_rng(cfg.disturbance_seed + 1),
     )
-    return target, pose, s0, diag
+    return target, pose, poly0, diag
 
 
 def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
@@ -213,20 +214,19 @@ def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
     infeasibility) produce a log with the ``aborted`` reason set instead of
     raising.
     """
-    target, pose, s_true, diag = opening_scene(cfg)
+    target, pose, poly, diag = opening_scene(cfg)
     rng = np.random.default_rng(cfg.disturbance_seed)
     dt = cfg.ocp.dt
     n_steps = int(round(cfg.duration / dt))
 
-    x_true = extract_state(PolygonFeatures(s_true, cfg.reference_pair))
+    x_true = extract_state(poly)
     x_meas = x_true + inject_disturbance(rng, cfg.disturbance_bound)
 
     controller = RecedingHorizonController(cfg.ocp, cfg.x_des)
     estimator = CentroidFlowEstimator() if cfg.estimator == "centroid_fd" else None
     prev_nu = np.zeros(6)
 
-    names = CSV_HEADER.split(",")
-    rows = {name: [] for name in names}
+    rows = []  # one tuple per step, in CSV_HEADER order
     predictions = []
     truth_rows = []
     aborted = None
@@ -234,45 +234,31 @@ def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
 
     for k_step in range(n_steps):
         t = k_step * dt
-        poly = PolygonFeatures(s_true, cfg.reference_pair)
         z_ctrl = _depth_for_controller(cfg.depth, pose)
 
+        flow = None
         if estimator is not None:
             l_bar = interaction_matrices(poly.vertices, z_ctrl).mean(axis=0)
-            flow = estimator.update(x_meas[:2], t, l_bar, prev_nu).per_vertex(
-                poly.n_vertices
-            )
-        else:
-            flow = np.zeros((poly.n_vertices, 2))
+            flow = estimator.update(x_meas[:2], t, l_bar, prev_nu)
 
         res = controller.step(poly, x_meas, flow, z_ctrl)
-        if res.recovered:
-            consecutive_recoveries += 1
-        else:
-            consecutive_recoveries = 0
-        if collect_predictions and res.solution is not None:
-            predictions.append((k_step, res.solution.predicted_states.copy()))
+        consecutive_recoveries = consecutive_recoveries + 1 if res.recovered else 0
+        sol = res.solution
+        if collect_predictions and sol is not None:
+            predictions.append((k_step, sol.predicted_states.copy()))
 
         err = x_meas - cfg.x_des
+        eang = np.degrees(np.arctan(x_meas[3]) - np.arctan(cfg.x_des[3]))
         truth_rows.append(x_true.copy())
-        rows["t"].append(t)
-        rows["sx"].append(x_meas[0])
-        rows["sy"].append(x_meas[1])
-        rows["sigbar"].append(x_meas[2])
-        rows["abar"].append(x_meas[3])
-        rows["ex"].append(err[0])
-        rows["ey"].append(err[1])
-        rows["esig"].append(err[2])
-        rows["eang"].append(
-            np.degrees(np.arctan(x_meas[3]) - np.arctan(cfg.x_des[3]))
-        )
-        rows["L1"].append(constraint_L1(x_meas[:2], cfg.ocp.visibility))
-        rows["L2"].append(constraint_L2(x_meas[2], cfg.ocp.area_bounds))
-        for name, val in zip(("vx", "vy", "vz", "wx", "wy", "wz"), res.nu):
-            rows[name].append(val)
-        rows["cost"].append(res.solution.cost if res.solution else float("nan"))
-        rows["iters"].append(res.solution.iterations if res.solution else 0)
-        rows["feasible"].append(0 if res.recovered else 1)
+        rows.append((
+            t, *x_meas, *err[:3], eang,
+            constraint_L1(x_meas[:2], cfg.ocp.visibility),
+            constraint_L2(x_meas[2], cfg.ocp.area_bounds),
+            *res.nu,
+            sol.cost if sol else float("nan"),
+            sol.iterations if sol else 0,
+            0 if res.recovered else 1,
+        ))
 
         if consecutive_recoveries > cfg.max_recovery_steps:
             aborted = f"unrecoverable infeasibility at t={t:.3f}"
@@ -285,13 +271,15 @@ def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
         except TargetLost as exc:
             aborted = f"{exc} at t={t:.3f}"
             break
-        x_true = extract_state(PolygonFeatures(s_true, cfg.reference_pair))
+        poly = PolygonFeatures(s_true, cfg.reference_pair)
+        x_true = extract_state(poly)
         x_meas = x_true + inject_disturbance(rng, cfg.disturbance_bound)
         prev_nu = res.nu
 
+    names = CSV_HEADER.split(",")
     columns = {
         name: np.array(vals, dtype=(int if name in ("iters", "feasible") else float))
-        for name, vals in rows.items()
+        for name, vals in zip(names, list(zip(*rows)) or [()] * len(names))
     }
     meta = {
         "config_hash": cfg.config_hash,

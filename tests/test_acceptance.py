@@ -286,7 +286,7 @@ def test_criterion_09_receding_step_performance():
         poly = PolygonFeatures(s, cfg.reference_pair)
         z = pose.height
         l_bar = interaction_matrices(poly.vertices, z).mean(axis=0)
-        flow = estimator.update(x[:2], k * cfg.ocp.dt, l_bar, nu_prev).per_vertex(12)
+        flow = estimator.update(x[:2], k * cfg.ocp.dt, l_bar, nu_prev)
         t0 = time.perf_counter()
         res = controller.step(poly, x, flow, z)
         times.append(time.perf_counter() - t0)

@@ -209,6 +209,18 @@ class TestCliBatch:
         for name in STAT_VARIABLES:
             assert summary["stats"].variables[name]["mean"] == pytest.approx(means[name])
 
+    def test_session_sse_uses_scenario_window(self, tmp_path):
+        # 20 steps: a 0.5 window holds 10 samples, a 0.2 window too few.
+        scen_dir = tmp_path / "scen"
+        scen_dir.mkdir()
+        doc = tiny_scenario_doc(duration=2.0, convergence={"window": 0.5})
+        (scen_dir / "wide.json").write_text(json.dumps(doc))
+        spec_path = scen_dir / "spec.json"
+        spec_path.write_text(json.dumps({"scenarios": ["wide.json"], "base_seed": 3}))
+        summary = run_batch(load_batch(spec_path), tmp_path / "out", jobs=1)
+        log = run_scenario(load_scenario(scen_dir / "wide.json", seed_offset=3))
+        assert summary["sessions"][0]["sse"] == steady_state_error(log, 0.5)
+
     def test_batch_spec_validation(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"scenarios": [], "repetitions": 2}))

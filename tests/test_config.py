@@ -151,11 +151,38 @@ def _set(path, value):
         (("target", "modes"), 3),
         (("target", "modes"), [{"type": "rigid_spin", "rate": [1.0]}]),
         (("ocp", "solver"), {"max_iters": 1e400}),
+        # Numeric strings, booleans, non-integral ints and non-finite floats
+        # are not numbers of the kind the field expects.
+        (("duration",), "2.5"),
+        (("ocp", "solver", "max_iters"), True),
+        (("ocp", "horizon"), 5.9),
+        (("max_recovery_steps",), 2.7),
+        (("disturbance", "seed"), True),
+        (("ocp", "q"), ["1", "1", "1", "1"]),
+        (("intrinsics", "alpha_x"), float("nan")),
+        (("x_des",), [0.0, 0.0, float("inf"), 0.0]),
     ],
 )
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(ConfigError, match=path[0]):
         parse_scenario(_set(path, value))
+
+
+def test_integral_float_for_int_and_int_for_float_accepted():
+    doc = tiny_scenario_doc(duration=2, max_recovery_steps=3.0)
+    doc["ocp"]["horizon"] = 5.0
+    cfg = parse_scenario(doc)
+    assert cfg.ocp.n == 5 and type(cfg.ocp.n) is int
+    assert cfg.max_recovery_steps == 3 and type(cfg.max_recovery_steps) is int
+    assert cfg.duration == 2.0 and type(cfg.duration) is float
+
+
+def test_batch_rejects_boolean_repetitions(tmp_path):
+    path = tmp_path / "batch.json"
+    scenarios = [str(CONFIGS / "static_octagon.json")]
+    path.write_text(json.dumps({"scenarios": scenarios, "repetitions": True}))
+    with pytest.raises(ConfigError, match="batch"):
+        load_batch(path)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -344,6 +347,17 @@ class TestRecedingController:
         assert res.solution is None
         assert np.isfinite(res.nu).all()
 
+    def test_recovery_keeps_failed_solution(self, small_ocp, pentagon):
+        # A target flow that carries the polygon out of view within the
+        # horizon leaves no finite plan from a feasible start: the step
+        # recovers and keeps the failed solve.
+        x0 = extract_state(pentagon)
+        ctrl = RecedingHorizonController(small_ocp, x0, z=Z)
+        res = ctrl.step(pentagon, x0, np.array([5.0, 0.0]), Z)
+        assert res.recovered
+        assert res.solution.cost == np.inf and res.solution.iterations == 0
+        assert np.isfinite(res.nu).all()
+
     def test_disabled_components_stay_zero(self, small_ocp, pentagon):
         import polyservo.camera as cam
 
@@ -421,6 +435,19 @@ class TestDiagnostics:
         assert not diag.in_terminal_set(big)
         d = diag.to_dict()
         assert set(d) >= {"L_f", "L_F", "L_E", "eps0", "a_eps", "xi_max"}
+
+    def test_sidecar_dict_is_every_field_but_p_weights(self, small_ocp, pentagon):
+        diag = compute_diagnostics(
+            small_ocp, Z, extract_state(pentagon), ref_polys=[pentagon],
+            rng=np.random.default_rng(7),
+        )
+        d = diag.to_dict()
+        names = {f.name for f in dataclasses.fields(diag)}
+        assert set(d) == names - {"p_weights"}
+        assert d["L_zm"] == [float(v) for v in diag.L_zm]
+        assert d["xi_max_per_m"] == [float(v) for v in diag.xi_max_per_m]
+        assert d["state_box"] == [float(v) for v in diag.state_box]
+        assert json.loads(json.dumps(d)) == d
 
     def test_eps0_validation(self, small_ocp, pentagon):
         small_ocp.eps0 = 10.0  # terminal box cannot fit the safe set

@@ -88,7 +88,7 @@ class TestFlowEstimator:
     def test_cold_start_returns_zero(self):
         est = CentroidFlowEstimator()
         flow = est.update(np.array([0.1, 0.2]), 0.0, np.zeros((2, 6)), np.zeros(6))
-        np.testing.assert_array_equal(flow.centroid_flow, np.zeros(2))
+        np.testing.assert_array_equal(flow, np.zeros(2))
 
     def test_static_target_with_exact_compensation(self):
         # Centroid moved exactly by L nu dt: removing the camera-induced
@@ -99,15 +99,15 @@ class TestFlowEstimator:
         dt = 0.1
         s0 = np.array([0.05, -0.02])
         s1 = s0 + L @ nu * dt
-        est = estimate_centroid_flow((s0, 0.0), (s1, dt), L, nu)
-        np.testing.assert_allclose(est.centroid_flow, np.zeros(2), atol=1e-12)
+        flow = estimate_centroid_flow((s0, 0.0), (s1, dt), L, nu)
+        np.testing.assert_allclose(flow, np.zeros(2), atol=1e-12)
 
     def test_drifting_target_without_camera_motion(self):
         v = np.array([0.03, -0.01])
         s0 = np.zeros(2)
         dt = 0.1
-        est = estimate_centroid_flow((s0, 0.0), (s0 + v * dt, dt), np.zeros((2, 6)), np.zeros(6))
-        np.testing.assert_allclose(est.centroid_flow, v, atol=1e-14)
+        flow = estimate_centroid_flow((s0, 0.0), (s0 + v * dt, dt), np.zeros((2, 6)), np.zeros(6))
+        np.testing.assert_allclose(flow, v, atol=1e-14)
 
     def test_halving_dt_halves_discretization_error(self):
         # Quadratic centroid path: the first-difference estimate lags the
@@ -117,19 +117,11 @@ class TestFlowEstimator:
         for dt in (0.1, 0.05):
             s_prev = 0.5 * accel * (1.0 - dt) ** 2
             s_curr = 0.5 * accel * 1.0**2
-            est = estimate_centroid_flow(
+            flow = estimate_centroid_flow(
                 (s_prev, 1.0 - dt), (s_curr, 1.0), np.zeros((2, 6)), np.zeros(6)
             )
-            errs.append(np.linalg.norm(est.centroid_flow - accel * 1.0))
+            errs.append(np.linalg.norm(flow - accel * 1.0))
         assert errs[1] == pytest.approx(0.5 * errs[0], rel=1e-6)
-
-    def test_per_vertex_broadcast(self):
-        est = CentroidFlowEstimator()
-        est.update(np.zeros(2), 0.0, np.zeros((2, 6)), np.zeros(6))
-        flow = est.update(np.array([0.01, 0.0]), 0.1, np.zeros((2, 6)), np.zeros(6))
-        pv = flow.per_vertex(5)
-        assert pv.shape == (5, 2)
-        assert (pv == flow.centroid_flow).all()
 
 
 class TestTrueFlow:

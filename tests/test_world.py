@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from polyservo.world import (
     step_world,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SQUARE_W = np.array([[0.3, 0.3], [-0.3, 0.3], [-0.3, -0.3], [0.3, -0.3]])
 
 
@@ -233,6 +235,45 @@ class TestRunScenario:
         assert log.aborted is None
         assert np.abs(log.columns["wx"]).max() == 0.0
         assert np.abs(log.columns["wy"]).max() == 0.0
+
+
+class TestLoopEndings:
+    """A run that stops early still returns a log whose CSV holds its steps."""
+
+    @staticmethod
+    def _csv_lines(log, tmp_path):
+        p = tmp_path / "log.csv"
+        log.to_csv(p)
+        return p.read_text().splitlines()
+
+    def test_unrecoverable_infeasibility_aborts_with_log(self, tmp_path):
+        # From z = 6 the octagon's projected area is below sigma_min,
+        # so no OCP can be posed; with no recovery steps allowed the run
+        # stops after its first logged step.
+        doc = json.loads((CONFIGS / "static_octagon.json").read_text())
+        doc["initial_pose"]["position"][2] = 6.0
+        doc["max_recovery_steps"] = 0
+        log = run_scenario(parse_scenario(doc, "abort"))
+        assert log.aborted.startswith("unrecoverable infeasibility")
+        assert log.n_steps == 1 and log.meta["steps"] == 1
+        assert log.columns["feasible"].tolist() == [0]
+        assert log.columns["iters"].tolist() == [0]
+        assert np.isnan(log.columns["cost"][0])
+        assert log.truth.shape == (1, 4)
+        lines = self._csv_lines(log, tmp_path)
+        assert lines[0] == CSV_HEADER and len(lines) == 2
+        assert len(lines[1].split(",")) == len(CSV_HEADER.split(","))
+
+    def test_run_shorter_than_one_period_logs_nothing(self, tmp_path):
+        doc = json.loads((CONFIGS / "static_octagon.json").read_text())
+        doc["duration"] = 0.04
+        log = run_scenario(parse_scenario(doc, "empty"))
+        assert log.aborted is None
+        assert log.n_steps == 0 and log.meta["steps"] == 0
+        assert list(log.columns) == CSV_HEADER.split(",")
+        assert all(col.shape == (0,) for col in log.columns.values())
+        assert log.columns["iters"].dtype.kind == "i"
+        assert self._csv_lines(log, tmp_path) == [CSV_HEADER]
 
 
 def _intrinsics():
