@@ -26,13 +26,8 @@ from .camera import (
     FULL_MASK,
     UAV_MASK,
     CameraIntrinsics,
-    apply_actuation_mask,
-    interaction_matrix,
     interaction_matrices,
-    level_frame_velocity,
     normalized_to_pixel,
-    partition_columns,
-    pixel_to_normalized,
 )
 from .config import BatchSpec, ScenarioConfig, load_batch, load_scenario
 from .nmpc import (
@@ -69,6 +64,5 @@ from .targets import (
     RigidSpin,
     TravelingWave,
     estimate_centroid_flow,
-    image_flow_from_world,
 )
 from .world import CameraPose, SimLog, inject_disturbance, run_scenario, step_world

@@ -28,6 +28,11 @@ __all__ = [
 STAT_VARIABLES = ("ex_px", "ey_px", "esig", "eang_deg")
 
 
+def _tail(n: int, window: float) -> slice:
+    """The last ``window`` fraction of ``n`` samples, at least one."""
+    return slice(n - max(int(round(n * window)), 1), n)
+
+
 def steady_state_error(log: SimLog, window: float = 0.2) -> dict:
     """Mean absolute error per state variable over the final window fraction.
 
@@ -38,10 +43,10 @@ def steady_state_error(log: SimLog, window: float = 0.2) -> dict:
     if not (0.0 < window <= 1.0):
         raise ValueError("window must be in (0, 1]")
     n = log.n_steps
-    k = max(int(round(n * window)), 1)
+    sl = _tail(n, window)
+    k = n - sl.start
     if k < 10:
         raise ShortRun(f"steady-state window has {k} samples; need at least 10")
-    sl = slice(n - k, n)
     cols = log.columns
     ex = float(np.abs(cols["ex"][sl]).mean())
     ey = float(np.abs(cols["ey"][sl]).mean())
@@ -68,9 +73,7 @@ def convergence_ok(log: SimLog, cfg: ScenarioConfig) -> bool:
         return False
     half_w = 0.5 * cfg.intrinsics.width / cfg.intrinsics.alpha_x
     cols = log.columns
-    n = log.n_steps
-    k = max(int(round(n * spec.window)), 1)
-    tail = slice(n - k, n)
+    tail = _tail(log.n_steps, spec.window)
     barriers_safe = (cols["L1"] > 0).all() and (cols["L2"] > 0).all()
     barriers_tail = (
         cols["L1"][tail].min() >= 1.0 - spec.barrier_margin

@@ -1,5 +1,5 @@
-"""Pinhole camera geometry: pixel/normalized conversions, point-feature
-interaction matrices, actuation masking, and the roll/pitch level-frame map.
+"""Pinhole camera geometry: intrinsics, the normalized-to-pixel map and
+point-feature interaction matrices.
 
 Conventions
 -----------
@@ -7,13 +7,6 @@ Camera frame: x right, y down, z along the optical axis into the scene
 (for a nadir-mounted camera, z points at the ground). Velocities are
 6-vectors ``[v_x, v_y, v_z, w_x, w_y, w_z]`` expressed in the camera frame,
 m/s and rad/s.
-
-Level-frame mapping: roll is a rotation about the x (forward) axis, pitch
-about the y axis, with positive pitch tipping the forward axis toward the
-scene (+z). The level frame shares the vehicle heading, so yaw is never
-touched. A body-frame vector ``v`` maps to level coordinates as
-``R_x(roll) @ R_y(pitch) @ v`` applied blockwise to the translational and
-angular parts.
 """
 
 from __future__ import annotations
@@ -26,13 +19,8 @@ __all__ = [
     "CameraIntrinsics",
     "FULL_MASK",
     "UAV_MASK",
-    "pixel_to_normalized",
     "normalized_to_pixel",
-    "interaction_matrix",
     "interaction_matrices",
-    "partition_columns",
-    "apply_actuation_mask",
-    "level_frame_velocity",
 ]
 
 # Velocity component order used everywhere: vx, vy, vz, wx, wy, wz.
@@ -71,17 +59,8 @@ class CameraIntrinsics:
         )
 
 
-def pixel_to_normalized(p, k: CameraIntrinsics):
-    """Map pixel coordinates (..., 2) to normalized image coordinates."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    out[..., 0] = (p[..., 0] - k.c_u) / k.alpha_x
-    out[..., 1] = (p[..., 1] - k.c_v) / k.alpha_y
-    return out
-
-
 def normalized_to_pixel(s, k: CameraIntrinsics):
-    """Exact algebraic inverse of :func:`pixel_to_normalized`."""
+    """Map normalized image coordinates (..., 2) to pixel coordinates."""
     s = np.asarray(s, dtype=float)
     out = np.empty_like(s)
     out[..., 0] = s[..., 0] * k.alpha_x + k.c_u
@@ -113,66 +92,3 @@ def interaction_matrices(pts, z: float):
     L[..., 1, 4] = -x * y
     L[..., 1, 5] = -x
     return L
-
-
-def interaction_matrix(s, z: float):
-    """2x6 interaction matrix of a single normalized point at depth ``z``."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (2,):
-        raise ValueError("expected a single 2-vector")
-    return interaction_matrices(s, z)
-
-
-def partition_columns(L):
-    """Split a (..., 6)-column matrix into its xy and z blocks.
-
-    Returns ``(L_xy, L_z)`` where ``L_xy`` holds the columns acting through
-    ``[v_x, v_y, w_x, w_y]`` and ``L_z`` those acting through ``[v_z, w_z]``.
-    Column order within each block follows the original order.
-    """
-    L = np.asarray(L, dtype=float)
-    if L.shape[-1] != 6:
-        raise ValueError("expected 6 columns")
-    return L[..., [0, 1, 3, 4]], L[..., [2, 5]]
-
-
-def apply_actuation_mask(L, mask):
-    """Drop the columns of disabled velocity components.
-
-    ``mask`` is a boolean 6-vector; at least one component must be enabled.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (6,):
-        raise ValueError("mask must have six entries")
-    if not mask.any():
-        raise ValueError("mask disables every component")
-    L = np.asarray(L, dtype=float)
-    if L.shape[-1] != 6:
-        raise ValueError("expected 6 columns")
-    return L[..., mask]
-
-
-def _roll_pitch_rotation(roll: float, pitch: float):
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    # Positive pitch tips +x toward +z (see module docstring).
-    ry = np.array([[cp, 0.0, -sp], [0.0, 1.0, 0.0], [sp, 0.0, cp]])
-    return rx @ ry
-
-
-def level_frame_velocity(body_v, roll: float, pitch: float):
-    """Re-express a body-frame velocity 6-vector in the virtual level frame.
-
-    Rejects tilts of pi/2 or more; yaw is left untouched by construction.
-    """
-    if abs(roll) >= np.pi / 2 or abs(pitch) >= np.pi / 2:
-        raise ValueError("tilt must be below pi/2")
-    body_v = np.asarray(body_v, dtype=float)
-    if body_v.shape != (6,):
-        raise ValueError("expected a velocity 6-vector")
-    rot = _roll_pitch_rotation(roll, pitch)
-    out = np.empty(6)
-    out[:3] = rot @ body_v[:3]
-    out[3:] = rot @ body_v[3:]
-    return out

@@ -17,7 +17,7 @@ import math
 import numbers
 import os
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ class ConvergenceSpec:
 @dataclass
 class ScenarioConfig:
     name: str
-    mode: str
     intrinsics: CameraIntrinsics
     depth: object  # "altimeter" or a fixed float
     target_base: np.ndarray
@@ -66,7 +65,6 @@ class ScenarioConfig:
     estimator: str
     convergence: ConvergenceSpec
     max_recovery_steps: int
-    raw: dict = field(repr=False, default=None)
     config_hash: str = ""
 
 
@@ -90,7 +88,6 @@ _OCP_KEYS = {
     "nu_max",
     "omega_max",
     "solver",
-    "eps0",
 }
 
 _TOP_KEYS = {
@@ -245,7 +242,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         block = "ocp.solver"
         solver = _parse_fields(SolverParams, od.get("solver", {}), block)
         block = "ocp"
-        eps0 = od.get("eps0")
         ocp = OcpConfig(
             n=_number(_require(od, "horizon", block), int),
             dt=_number(_require(od, "dt", block)),
@@ -266,7 +262,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
             ),
             mask=mask,
             solver=solver,
-            eps0=None if eps0 is None else _number(eps0),
         )
 
         block = "disturbance"
@@ -300,7 +295,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
 
     return ScenarioConfig(
         name=str(doc.get("name", name_hint)),
-        mode=mode,
         intrinsics=intrinsics,
         depth=depth,
         target_base=base,
@@ -317,7 +311,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         estimator=estimator,
         convergence=conv,
         max_recovery_steps=max_recovery_steps,
-        raw=doc,
         config_hash=digest,
     )
 
@@ -349,6 +342,8 @@ def load_batch(path) -> BatchSpec:
     try:
         _object(doc, {"scenarios", "repetitions", "base_seed"}, "batch")
         scenarios = _require(doc, "scenarios", "batch")
+        if not isinstance(scenarios, list) or not all(isinstance(p, str) for p in scenarios):
+            raise ConfigError("batch: scenarios must be a list of file names")
         if not scenarios:
             raise ConfigError("batch: scenarios list is empty")
         paths = [path.parent / p for p in scenarios]

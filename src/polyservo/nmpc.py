@@ -116,7 +116,6 @@ class OcpConfig:
     limits: InputLimits
     mask: np.ndarray = None
     solver: SolverParams = field(default_factory=SolverParams)
-    eps0: float | None = None  # terminal ball radius; None = auto-fit
 
     def __post_init__(self):
         if self.n < 2:
@@ -159,7 +158,6 @@ class OcpSolution:
     predicted_vertices: np.ndarray  # (n+1, N, 2)
     cost: float
     iterations: int
-    converged: bool
     status: str
     grad_norm: float
 
@@ -539,7 +537,6 @@ def solve_ocp(
         predicted_vertices=verts,
         cost=float(f),
         iterations=iterations,
-        converged=status == "converged",
         status=status,
         grad_norm=gnorm,
     )
@@ -550,16 +547,14 @@ def solve_ocp(
 # ---------------------------------------------------------------------------
 
 
-def local_controller_h(x_err, poly: PolygonFeatures, cfg: OcpConfig, z: float, x=None):
+def local_controller_h(x_err, poly: PolygonFeatures, cfg: OcpConfig, z: float):
     """Damped pseudo-inverse feedback, clamped strictly inside the limits.
 
     Returns the masked command vector. Falls back to zero input when the
     masked input map loses rank.
     """
     x_err = np.asarray(x_err, dtype=float)
-    if x is None:
-        x = np.zeros(4)
-    g = dynamics_matrix(poly, x, z)[:, cfg.mask]
+    g = dynamics_matrix(poly, None, z)[:, cfg.mask]
     if np.linalg.matrix_rank(g, tol=1e-10) < 4:
         return np.zeros(cfg.n_inputs)
     ggt = g @ g.T + (_LOCAL_DAMPING * _LOCAL_DAMPING) * np.eye(4)
@@ -622,7 +617,7 @@ class RecedingHorizonController:
             states, verts = pred
             k = cfg.n - 1
             tail_poly = PolygonFeatures(verts[k], poly.reference_pair)
-            tail = local_controller_h(states[k] - self.x_des, tail_poly, cfg, z, x=states[k])
+            tail = local_controller_h(states[k] - self.x_des, tail_poly, cfg, z)
         return np.vstack([shifted, tail[None]])
 
     def step(self, poly: PolygonFeatures, x_meas, flow, z: float | None = None) -> StepResult:
@@ -638,7 +633,7 @@ class RecedingHorizonController:
             sol = None
         if sol is None or not np.isfinite(sol.cost):
             self._prev_controls = None
-            nu_m = local_controller_h(x_meas - self.x_des, poly, cfg, z, x=x_meas)
+            nu_m = local_controller_h(x_meas - self.x_des, poly, cfg, z)
             return StepResult(nu=self._expand(nu_m), solution=sol, recovered=True)
         self._prev_controls = sol.controls
         return StepResult(nu=self._expand(sol.controls[0]), solution=sol, recovered=False)
@@ -837,7 +832,6 @@ def compute_diagnostics(
     x_des,
     ref_polys=None,
     rng=None,
-    lf_samples: int = 200,
 ) -> DiagnosticsBundle:
     """Evaluate every diagnostic constant for one controller configuration.
 
@@ -855,12 +849,7 @@ def compute_diagnostics(
             _ABAR_LIMIT,
         ]
     )
-    eps0_max = _auto_eps0(cfg, x_des)
-    eps0 = cfg.eps0 if cfg.eps0 is not None else eps0_max
-    if eps0 > eps0_max + 1e-12:
-        raise ValueError(
-            f"eps0={eps0:.4g} puts the terminal set outside the safe set (max {eps0_max:.4g})"
-        )
+    eps0 = _auto_eps0(cfg, x_des)
     pmax = float(cfg.p.max())
     a_eps = pmax * eps0 * eps0
     a_eps_f = 0.5 * a_eps
@@ -875,7 +864,7 @@ def compute_diagnostics(
     L_FV_emp = None
     if ref_polys:
         rng = np.random.default_rng(0) if rng is None else rng
-        L_f_emp = empirical_lipschitz_f(cfg, z, list(ref_polys), rng, lf_samples)
+        L_f_emp = empirical_lipschitz_f(cfg, z, list(ref_polys), rng)
         xi_max_emp, _ = disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f_emp, cfg.n)
         anchor = RecenteringAnchor(x_des, cfg.visibility, cfg.area_bounds)
         L_FV_emp = empirical_lipschitz_FV(cfg, anchor, rng)

@@ -224,17 +224,16 @@ def dynamics_matrix(poly: PolygonFeatures, x, z: float, mode: str = "chain_rule"
     the analytic gradients and is the ground truth used for control.
     ``paper_closed_form`` reproduces the printed closed-form rows instead:
     the area row then carries a constant factor of 9 on its angular-rate
-    terms with the opposite column pairing, and rows 1-2 read the centroid
-    entries from ``x`` rather than the vertices. The two modes are compared,
-    not mixed.
+    terms with the opposite column pairing, and the angle row takes the
+    angle state from ``x`` rather than the vertices. The two modes are
+    compared, not mixed. ``x`` is read only by ``paper_closed_form``.
     """
-    x = np.asarray(x, dtype=float)
     if mode == "chain_rule":
         _check_nondegenerate(poly)
         g, _, _, _, _ = _dynamics_batch(poly.vertices, z, poly.reference_pair)
         return g
     if mode == "paper_closed_form":
-        return _dynamics_closed_form(poly, x, z)
+        return _dynamics_closed_form(poly, np.asarray(x, dtype=float), z)
     raise ValueError(f"unknown mode {mode!r}")
 
 

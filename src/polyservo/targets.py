@@ -29,13 +29,16 @@ __all__ = [
     "DeformableTarget",
     "estimate_centroid_flow",
     "CentroidFlowEstimator",
-    "image_flow_from_world",
 ]
 
 
 @dataclass(frozen=True)
 class RigidDrift:
     velocity: tuple  # (vx, vy) m/s in world plane coordinates
+
+    def __post_init__(self):
+        if len(self.velocity) != 2:
+            raise ValueError("rigid_drift velocity must have two entries")
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,10 @@ class Breathing:
     amplitude: float  # fractional scale swing, |amplitude| < 1
     frequency: float  # Hz
 
+    def __post_init__(self):
+        if not abs(self.amplitude) < 1.0:
+            raise ValueError("breathing amplitude must satisfy |amplitude| < 1")
+
 
 @dataclass(frozen=True)
 class TravelingWave:
@@ -55,6 +62,12 @@ class TravelingWave:
     wavelength: float  # meters
     speed: float  # m/s along the axis
     axis: tuple = (1.0, 0.0)  # propagation direction in the plane
+
+    def __post_init__(self):
+        if not self.wavelength > 0:
+            raise ValueError("traveling_wave wavelength must be positive")
+        if len(self.axis) != 2 or not 0 < np.linalg.norm(self.axis) < np.inf:
+            raise ValueError("traveling_wave axis must be a nonzero 2-vector")
 
 
 def _segments_intersect(p1, p2, q1, q2):
@@ -222,22 +235,3 @@ class CentroidFlowEstimator:
         flow = estimate_centroid_flow(self._prev, (sbar, t), L_hat, nu_hat)
         self._prev = (sbar, t)
         return flow
-
-
-def image_flow_from_world(world_pts, world_vels, cam_pos, cam_rot):
-    """Exact image-plane velocity of world points under a static camera.
-
-    ``cam_rot`` is the world-from-camera rotation. Differentiates the
-    pinhole projection: s = (X/Z, Y/Z) in camera coordinates.
-    """
-    world_pts = np.asarray(world_pts, dtype=float)
-    world_vels = np.asarray(world_vels, dtype=float)
-    r_cw = np.asarray(cam_rot, dtype=float).T
-    p_c = (world_pts - np.asarray(cam_pos, dtype=float)) @ r_cw.T
-    v_c = world_vels @ r_cw.T
-    X, Y, Z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
-    dX, dY, dZ = v_c[:, 0], v_c[:, 1], v_c[:, 2]
-    flow = np.empty((world_pts.shape[0], 2))
-    flow[:, 0] = (dX * Z - X * dZ) / (Z * Z)
-    flow[:, 1] = (dY * Z - Y * dZ) / (Z * Z)
-    return flow

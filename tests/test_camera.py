@@ -1,41 +1,16 @@
 import numpy as np
 import pytest
 
-from polyservo.camera import (
-    FULL_MASK,
-    UAV_MASK,
-    CameraIntrinsics,
-    apply_actuation_mask,
-    interaction_matrices,
-    interaction_matrix,
-    level_frame_velocity,
-    normalized_to_pixel,
-    partition_columns,
-    pixel_to_normalized,
-)
+from polyservo.camera import CameraIntrinsics, interaction_matrices, normalized_to_pixel
 from conftest import move_point_under_twist
 
 
 class TestConversions:
-    def test_principal_point_maps_to_origin(self, intrinsics):
-        s = pixel_to_normalized(np.array([320.0, 240.0]), intrinsics)
-        assert np.array_equal(s, [0.0, 0.0])
-
-    def test_direct_evaluation(self, intrinsics):
-        s = pixel_to_normalized(np.array([820.0, 240.0]), intrinsics)
-        np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-15)
-
     def test_inverse_example(self, intrinsics):
         p = normalized_to_pixel(np.array([1.0, 0.0]), intrinsics)
         np.testing.assert_allclose(p, [820.0, 240.0], atol=1e-15)
         p0 = normalized_to_pixel(np.array([0.0, 0.0]), intrinsics)
         np.testing.assert_allclose(p0, [320.0, 240.0])
-
-    def test_round_trip(self, intrinsics):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-50, 700, size=(100, 2))
-        back = normalized_to_pixel(pixel_to_normalized(pts, intrinsics), intrinsics)
-        np.testing.assert_allclose(back, pts, atol=1e-12)
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
@@ -46,19 +21,19 @@ class TestConversions:
 
 class TestInteractionMatrix:
     def test_origin_feature(self):
-        L = interaction_matrix(np.zeros(2), 1.0)
+        L = interaction_matrices(np.zeros(2), 1.0)
         np.testing.assert_array_equal(L[0], [-1, 0, 0, 0, -1, 0])
         np.testing.assert_array_equal(L[1], [0, -1, 0, 1, 0, 0])
 
     def test_direct_evaluation(self):
-        L = interaction_matrix(np.array([1.0, 1.0]), 2.0)
+        L = interaction_matrices(np.array([1.0, 1.0]), 2.0)
         np.testing.assert_allclose(L[0], [-0.5, 0, 0.5, 1, -2, 1])
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
-            interaction_matrix(np.zeros(2), 0.0)
+            interaction_matrices(np.zeros(2), 0.0)
         with pytest.raises(ValueError):
-            interaction_matrix(np.zeros(2), -1.0)
+            interaction_matrices(np.zeros(2), -1.0)
 
     def test_flow_matches_reprojection_oracle(self):
         # One-step image flow error vs an independent SE(3) point motion
@@ -70,7 +45,7 @@ class TestInteractionMatrix:
             z = rng.uniform(1.0, 3.0)
             nu = rng.uniform(-1.0, 1.0, 6)
             nu /= max(np.linalg.norm(nu), 1.0)
-            L = interaction_matrix(s, z)
+            L = interaction_matrices(s, z)
             p0 = np.array([s[0] * z, s[1] * z, z])
             errs = []
             for dt in (2e-3, 1e-3):
@@ -80,75 +55,3 @@ class TestInteractionMatrix:
             if errs[0] > 1e-13:
                 worst_order = min(worst_order, np.log2(errs[0] / errs[1]))
         assert worst_order >= 1.9
-
-
-class TestColumnOps:
-    def test_partition_origin_feature(self):
-        L = interaction_matrix(np.zeros(2), 1.0)
-        _, L_z = partition_columns(L)
-        np.testing.assert_array_equal(L_z, np.zeros((2, 2)))
-
-    def test_partition_reassembly(self):
-        rng = np.random.default_rng(1)
-        L = rng.normal(size=(4, 6))
-        L_xy, L_z = partition_columns(L)
-        rebuilt = np.empty_like(L)
-        rebuilt[:, [0, 1, 3, 4]] = L_xy
-        rebuilt[:, [2, 5]] = L_z
-        np.testing.assert_array_equal(rebuilt, L)
-
-    def test_full_mask_is_identity(self):
-        rng = np.random.default_rng(2)
-        L = rng.normal(size=(2, 6))
-        np.testing.assert_array_equal(apply_actuation_mask(L, FULL_MASK), L)
-
-    def test_uav_mask_selects_columns(self):
-        rng = np.random.default_rng(3)
-        g = rng.normal(size=(4, 6))
-        masked = apply_actuation_mask(g, UAV_MASK)
-        np.testing.assert_array_equal(masked, g[:, [0, 1, 2, 5]])
-
-    def test_masked_product_equals_zeroed_full(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            g = rng.normal(size=(4, 6))
-            mask = rng.uniform(size=6) > 0.4
-            if not mask.any():
-                mask[0] = True
-            nu = rng.normal(size=6)
-            nu_zeroed = np.where(mask, nu, 0.0)
-            np.testing.assert_allclose(
-                apply_actuation_mask(g, mask) @ nu[mask], g @ nu_zeroed, atol=1e-12
-            )
-
-    def test_rejects_empty_mask(self):
-        with pytest.raises(ValueError):
-            apply_actuation_mask(np.zeros((2, 6)), np.zeros(6, dtype=bool))
-
-
-class TestLevelFrame:
-    def test_zero_tilt_is_identity(self):
-        v = np.array([0.3, -0.2, 0.1, 0.05, -0.02, 0.4])
-        np.testing.assert_allclose(level_frame_velocity(v, 0.0, 0.0), v)
-
-    def test_near_right_angle_pitch(self):
-        # Forward axis tips onto the optical (down) axis as pitch -> pi/2.
-        eps = 1e-3
-        v = np.zeros(6)
-        v[0] = 1.0
-        out = level_frame_velocity(v, 0.0, np.pi / 2 - eps)
-        assert abs(out[2] - 1.0) < 1e-5
-        assert abs(out[0]) < 2 * eps
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            v = rng.normal(size=6)
-            roll, pitch = rng.uniform(-1.2, 1.2, 2)
-            out = level_frame_velocity(v, roll, pitch)
-            assert abs(np.linalg.norm(out[:3]) - np.linalg.norm(v[:3])) < 1e-12
-            assert abs(np.linalg.norm(out[3:]) - np.linalg.norm(v[3:])) < 1e-12
-
-    def test_rejects_extreme_tilt(self):
-        with pytest.raises(ValueError):
-            level_frame_velocity(np.zeros(6), np.pi / 2, 0.0)

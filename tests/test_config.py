@@ -130,6 +130,9 @@ def test_garbage_file_raises_config_error(tmp_path_factory, blob):
             load(path)
 
 
+WAVE = {"type": "traveling_wave", "amplitude": 0.01, "wavelength": 0.8, "speed": 0.1}
+
+
 def _set(path, value):
     doc = tiny_scenario_doc()
     _get(doc, path[:-1])[path[-1]] = value
@@ -161,6 +164,12 @@ def _set(path, value):
         (("ocp", "q"), ["1", "1", "1", "1"]),
         (("intrinsics", "alpha_x"), float("nan")),
         (("x_des",), [0.0, 0.0, float("inf"), 0.0]),
+        # Target modes that cannot describe a target.
+        (("target", "modes"), [dict(WAVE, wavelength=0)]),
+        (("target", "modes"), [dict(WAVE, axis=[0.0, 0.0])]),
+        (("target", "modes"), [dict(WAVE, axis=[1.0, 0.0, 0.0])]),
+        (("target", "modes"), [{"type": "rigid_drift", "velocity": [0.01, 0.0, 0.0]}]),
+        (("target", "modes"), [{"type": "breathing", "amplitude": 1.5, "frequency": 0.2}]),
     ],
 )
 def test_bad_value_raises_config_error(path, value):
@@ -185,6 +194,15 @@ def test_batch_rejects_boolean_repetitions(tmp_path):
         load_batch(path)
 
 
+def test_batch_scenarios_must_be_a_list_of_names(tmp_path):
+    path = tmp_path / "batch.json"
+    name = str(CONFIGS / "static_octagon.json")
+    for scenarios in ({name: 3}, name, [name, 3]):
+        path.write_text(json.dumps({"scenarios": scenarios}))
+        with pytest.raises(ConfigError, match="list of file names"):
+            load_batch(path)
+
+
 @pytest.mark.parametrize(
     "path",
     [
@@ -196,6 +214,7 @@ def test_batch_rejects_boolean_repetitions(tmp_path):
         ("ocp", "local_damping"),
         ("ocp", "local_clamp"),
         ("ocp", "abar_limit"),
+        ("ocp", "eps0"),  # the terminal radius is always the auto-fit
     ],
 )
 def test_fixed_solver_constants_are_unknown_keys(path):
@@ -234,6 +253,8 @@ def _cli(*args, cwd):
         ("run", tiny_scenario_doc(duration="abc")),
         ("diagnose", tiny_scenario_doc(intrinsics=5)),
         ("batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "repetitions": "x"}),
+        ("run", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
+        ("diagnose", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
     ],
 )
 def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc):

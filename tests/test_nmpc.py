@@ -230,7 +230,7 @@ class TestSolver:
         sol = solve_ocp(pentagon, x0, None, small_ocp, x0, Z)
         assert sol.cost <= 1e-9
         assert np.abs(sol.controls).max() <= 1e-6
-        assert sol.converged
+        assert sol.status == "converged"
 
     def test_first_move_reduces_centroid_error(self, small_ocp, pentagon):
         x0 = extract_state(pentagon)
@@ -291,7 +291,7 @@ class TestLocalController:
         rng = np.random.default_rng(6)
         for _ in range(200):
             e = rng.uniform(-0.2, 0.2, 4)
-            nu = local_controller_h(e, pentagon, small_ocp, Z, x=x)
+            nu = local_controller_h(e, pentagon, small_ocp, Z)
             assert np.linalg.norm(nu) <= L_h * np.linalg.norm(e) + 1e-12
 
     def test_clamped_inside_limits(self, small_ocp, pentagon):
@@ -301,7 +301,7 @@ class TestLocalController:
     def test_one_step_error_decrease(self, small_ocp, pentagon):
         x = extract_state(pentagon)
         x_des = x + np.array([0.05, -0.03, 0.06, 0.08])
-        nu_m = local_controller_h(x - x_des, pentagon, small_ocp, Z, x=x)
+        nu_m = local_controller_h(x - x_des, pentagon, small_ocp, Z)
         nu6 = np.zeros(6)
         nu6[small_ocp.mask_idx] = nu_m
         _, x_next = propagate_discrete(
@@ -448,11 +448,6 @@ class TestDiagnostics:
         assert d["xi_max_per_m"] == [float(v) for v in diag.xi_max_per_m]
         assert d["state_box"] == [float(v) for v in diag.state_box]
         assert json.loads(json.dumps(d)) == d
-
-    def test_eps0_validation(self, small_ocp, pentagon):
-        small_ocp.eps0 = 10.0  # terminal box cannot fit the safe set
-        with pytest.raises(ValueError):
-            compute_diagnostics(small_ocp, Z, extract_state(pentagon))
 
     def test_lemma1_multistep_audit(self, small_ocp, pentagon):
         # Disturbed vs nominal model rollouts: the accumulated state error

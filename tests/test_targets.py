@@ -10,7 +10,6 @@ from polyservo.targets import (
     RigidSpin,
     TravelingWave,
     estimate_centroid_flow,
-    image_flow_from_world,
     polygon_is_simple,
 )
 
@@ -122,44 +121,3 @@ class TestFlowEstimator:
             )
             errs.append(np.linalg.norm(flow - accel * 1.0))
         assert errs[1] == pytest.approx(0.5 * errs[0], rel=1e-6)
-
-
-class TestTrueFlow:
-    CAM_POS = np.array([0.0, 0.0, 2.0])
-    CAM_ROT = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])  # nadir
-
-    def _world(self, pts2d):
-        return np.column_stack([pts2d, np.zeros(len(pts2d))])
-
-    def test_static_target_zero_flow(self):
-        flow = image_flow_from_world(
-            self._world(SQUARE), np.zeros((4, 3)), self.CAM_POS, self.CAM_ROT
-        )
-        np.testing.assert_array_equal(flow, np.zeros((4, 2)))
-
-    def test_matches_central_difference(self):
-        rng = np.random.default_rng(2)
-        pts = self._world(SQUARE)
-        vels = rng.normal(scale=0.1, size=(4, 3))
-        vels[:, 2] = rng.normal(scale=0.05, size=4)  # include out-of-plane motion
-        flow = image_flow_from_world(pts, vels, self.CAM_POS, self.CAM_ROT)
-        h = 1e-5
-
-        def project(p):
-            pc = (p - self.CAM_POS) @ self.CAM_ROT
-            return pc[:, :2] / pc[:, 2:3]
-
-        fd = (project(pts + h * vels) - project(pts - h * vels)) / (2 * h)
-        np.testing.assert_allclose(flow, fd, atol=1e-9)
-
-    def test_axial_drift_scales_area_only(self):
-        # Motion along the optical axis: symmetric points flow radially, so
-        # the centroid is still while the projected area grows.
-        pts = self._world(SQUARE)
-        vels = np.broadcast_to([0.0, 0.0, 0.3], (4, 3))  # toward the camera
-        flow = image_flow_from_world(pts, vels, self.CAM_POS, self.CAM_ROT)
-        np.testing.assert_allclose(flow.mean(axis=0), np.zeros(2), atol=1e-14)
-        # Divergence of the flow field: projected points move outward.
-        pc = (pts - self.CAM_POS) @ self.CAM_ROT
-        s = pc[:, :2] / pc[:, 2:3]
-        assert (np.einsum("ij,ij->i", flow, s) > 0).all()
