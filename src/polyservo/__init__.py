@@ -49,7 +49,6 @@ from .polygon import (
     angle_gradient,
     area,
     area_gradient,
-    centroid,
     dynamics_matrix,
     extract_state,
     propagate_discrete,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import BatchSpec, ScenarioConfig, load_scenario
-from .errors import ShortRun
+from .errors import PolyServoError, ShortRun
 from .svg import bar_chart, line_chart
 from .world import SimLog, run_scenario
 
@@ -152,33 +152,36 @@ def _run_session(args):
     scenario_path, session_name, seed_offset, out_dir = args
     cfg = load_scenario(scenario_path, seed_offset=seed_offset)
     cfg.name = session_name
-    log = run_scenario(cfg)
-    csv_path = write_run_outputs(log, cfg, out_dir, plots=False)
-    converged = convergence_ok(log, cfg)
+    result = dict(
+        session=session_name, csv=None, converged=False, aborted=None, sse=None, failed=None
+    )
     try:
-        sse = steady_state_error(log, cfg.convergence.window)
+        log = run_scenario(cfg)
+    except (PolyServoError, ValueError) as exc:
+        return dict(result, failed=str(exc))
+    result["csv"] = str(write_run_outputs(log, cfg, out_dir, plots=False))
+    result["converged"] = convergence_ok(log, cfg)
+    result["aborted"] = log.aborted
+    try:
+        result["sse"] = steady_state_error(log, cfg.convergence.window)
     except ShortRun:
-        sse = None
-    return {
-        "session": session_name,
-        "csv": str(csv_path),
-        "converged": bool(converged),
-        "aborted": log.aborted,
-        "sse": sse,
-    }
+        pass
+    return result
 
 
 def run_batch(spec: BatchSpec, out_dir, jobs: int = 1):
     """Run every session of a batch; write per-session CSVs plus aggregates.
 
     Each session's steady-state errors are taken over its own scenario's
-    ``convergence.window``. Individual aborts are recorded and do not stop
-    the batch. Returns a summary dict with per-session results and the
-    aggregate statistics.
+    ``convergence.window``. Individual aborts, and sessions whose run fails
+    (``failed`` holds the reason), are recorded and do not stop the batch.
+    At most one worker process per session is started. Returns a summary
+    dict with per-session results and the aggregate statistics.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(path, name, off, str(out_dir)) for path, name, off in spec.sessions()]
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_session, tasks))

@@ -2,7 +2,8 @@
 
 Exit codes: every command returns 1 on configuration errors. ``run``
 returns 0 when the scenario converged and 2 when it aborted or missed its
-thresholds. ``batch`` returns 0 when at least 90% of sessions converged.
+thresholds. ``batch`` returns 0 when at least 90% of sessions converged
+and none failed to run; a failed session's reason is printed.
 ``diagnose`` returns 2 when the scenario's opening scene admits no
 diagnostics, for example a setpoint outside the safe set. The output
 directory defaults to ``./out`` and can be overridden by ``--out`` or the
@@ -70,11 +71,15 @@ def _cmd_batch(args) -> int:
         return 1
     summary = run_batch(spec, _out_dir(args), jobs=args.jobs)
     for r in summary["sessions"]:
-        state = "ok" if r["converged"] else ("aborted" if r["aborted"] else "miss")
+        if r["failed"]:
+            state = f"failed: {r['failed']}"
+        else:
+            state = "ok" if r["converged"] else ("aborted" if r["aborted"] else "miss")
         print(f"{r['session']}: {state}")
     n, c = summary["n_sessions"], summary["n_converged"]
     print(f"{c}/{n} sessions converged")
-    return 0 if c >= 0.9 * n else 2
+    failed = any(r["failed"] for r in summary["sessions"])
+    return 0 if c >= 0.9 * n and not failed else 2
 
 
 def _cmd_diagnose(args) -> int:

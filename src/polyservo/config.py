@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import numbers
-import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -337,6 +336,7 @@ class BatchSpec:
 
 
 def load_batch(path) -> BatchSpec:
+    """Read a batch file; a listed scenario that does not parse is a ConfigError."""
     path = Path(path)
     doc = _read_json(path)
     try:
@@ -351,8 +351,10 @@ def load_batch(path) -> BatchSpec:
         if len(set(stems)) != len(stems):
             raise ConfigError("batch: scenario file stems must be unique")
         for p in paths:
-            if not os.path.exists(p):
-                raise ConfigError(f"batch: scenario file not found: {p}")
+            try:
+                parse_scenario(_read_json(p), p.stem)
+            except (OSError, ConfigError) as exc:
+                raise ConfigError(f"batch: scenario {p}: {exc}") from exc
         reps = _number(doc.get("repetitions", 1), int)
         if reps < 1:
             raise ConfigError("batch: repetitions must be at least 1")

@@ -46,7 +46,7 @@ from .barriers import (
     fov_distance,
 )
 from .camera import FULL_MASK
-from .errors import InfeasibleRollout, InfeasibleStart, PolyServoError
+from .errors import InfeasibleRollout, InfeasibleStart
 from .polygon import (
     EPS_ANGLE,
     EPS_AREA,
@@ -72,11 +72,11 @@ __all__ = [
     "RecedingHorizonController",
     "lipschitz_Lf",
     "lipschitz_LF",
+    "lipschitz_FV",
     "prediction_error_bound",
     "disturbance_feasibility_bound",
     "cost_difference_bound",
     "empirical_lipschitz_f",
-    "empirical_lipschitz_FV",
     "compute_diagnostics",
 ]
 
@@ -666,6 +666,20 @@ def lipschitz_LF(state_box, q) -> float:
     return float(2.0 * np.sqrt((state_box * state_box).sum()) * q.max())
 
 
+def lipschitz_FV(cfg: OcpConfig) -> float:
+    """Exact Lipschitz constant of the stage cost w.r.t. the input.
+
+    The barrier is unbounded at the limits ``m``, so the constant is taken
+    on the inner 90% of the box, ``|nu| <= c = 0.9 m``. The state terms
+    cancel in ``F(x, nu_a) - F(x, nu_b)``, and each input term is even and
+    convex, so ``|dF/dnu_i|`` peaks at ``|nu_i| = c_i``: the constant is the
+    gradient norm at the box's corner.
+    """
+    m = cfg.masked_limits
+    c = 0.9 * m
+    return float(np.linalg.norm(2.0 * cfg.masked_r * c + 1.0 / (m - c) ** 2 - 1.0 / (m + c) ** 2))
+
+
 def _geometric_sum(L_f: float, k: int) -> float:
     """``1 + L_f + ... + L_f**(k-1) = (L_f**k - 1)/(L_f - 1)``; ``k`` at L_f = 1."""
     if abs(L_f - 1.0) < 1e-9:
@@ -713,33 +727,6 @@ def cost_difference_bound(m: int, e: float, cfg: OcpConfig, diag, state_norms=()
     return float(L_zm * e - lower_sum), float(L_zm)
 
 
-def empirical_lipschitz_FV(
-    cfg: OcpConfig, anchor: RecenteringAnchor, rng, n_samples: int = 400
-) -> float:
-    """Sampled Lipschitz constant of the stage cost w.r.t. the input.
-
-    No closed form is published for this constant; it is estimated over the
-    inner 90% of the admissible input box (the barrier is unbounded at the
-    limits themselves, so the constant only exists on a compact subset).
-    """
-    limits = cfg.masked_limits
-    x_des = anchor.x_des
-    worst = 0.0
-    for _ in range(n_samples):
-        x_err = rng.uniform(-0.1, 0.1, 4)
-        nu_a = rng.uniform(-0.9, 0.9, limits.size) * limits
-        nu_b = rng.uniform(-0.9, 0.9, limits.size) * limits
-        try:
-            fa = stage_cost(x_err, nu_a, cfg, anchor)
-            fb = stage_cost(x_err, nu_b, cfg, anchor)
-        except PolyServoError:
-            continue
-        denom = np.linalg.norm(nu_a - nu_b)
-        if denom > 1e-9:
-            worst = max(worst, abs(fa - fb) / denom)
-    return float(worst)
-
-
 def empirical_lipschitz_f(
     cfg: OcpConfig, z: float, polys, rng, n_samples: int = 200, radius: float = 1e-3
 ) -> float:
@@ -781,6 +768,7 @@ class DiagnosticsBundle:
 
     L_f: float
     L_F: float
+    L_FV: float
     L_E: float
     F_lower: float
     eps0: float
@@ -791,9 +779,8 @@ class DiagnosticsBundle:
     state_box: np.ndarray
     p_weights: np.ndarray
     L_zm: np.ndarray
-    L_f_emp: float | None = None
-    xi_max_emp: float | None = None
-    L_FV_emp: float | None = None
+    L_f_emp: float
+    xi_max_emp: float
 
     def in_terminal_set(self, x_err) -> bool:
         x_err = np.asarray(x_err, dtype=float)
@@ -813,31 +800,25 @@ def _auto_eps0(cfg: OcpConfig, x_des):
     """Largest terminal-ellipsoid scale whose box fits the safe set."""
     p = cfg.p
     pmax = p.max()
+    l1, l2 = _L_values(x_des, cfg.visibility, cfg.area_bounds)
+    if l1 <= EPS_L or l2 <= EPS_L:
+        raise ValueError("x_des must be strictly inside the safe set")
     d_vis = float(fov_distance(x_des[:2], cfg.visibility))
     sig_des = float(x_des[2])
     room_sig = min(
         sig_des - np.log(cfg.area_bounds.sigma_min),
         np.log(cfg.area_bounds.sigma_max) - sig_des,
     )
-    if d_vis <= 0 or room_sig <= 0:
-        raise ValueError("x_des must be strictly inside the safe set")
     lim_vis = d_vis / np.sqrt(pmax / p[0] + pmax / p[1])
     lim_sig = room_sig / np.sqrt(pmax / p[2])
     return 0.9 * min(lim_vis, lim_sig)
 
 
-def compute_diagnostics(
-    cfg: OcpConfig,
-    z: float,
-    x_des,
-    ref_polys=None,
-    rng=None,
-) -> DiagnosticsBundle:
+def compute_diagnostics(cfg: OcpConfig, z: float, x_des, ref_polys, rng) -> DiagnosticsBundle:
     """Evaluate every diagnostic constant for one controller configuration.
 
-    When reference polygons are supplied, an empirical Lipschitz estimate of
-    the one-step map is sampled around them and used for the empirical
-    disturbance bound as well.
+    ``L_f_emp`` is sampled around ``ref_polys`` with ``rng``. Raises
+    ``ValueError`` when ``x_des`` is not strictly inside the safe set.
     """
     x_des = np.asarray(x_des, dtype=float)
     vis = cfg.visibility
@@ -858,16 +839,8 @@ def compute_diagnostics(
     L_F = lipschitz_LF(box, cfg.q)
     F_lower = float(min(cfg.q.min(), cfg.masked_r.min()))
     xi_max, per_m = disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f, cfg.n)
-
-    L_f_emp = None
-    xi_max_emp = None
-    L_FV_emp = None
-    if ref_polys:
-        rng = np.random.default_rng(0) if rng is None else rng
-        L_f_emp = empirical_lipschitz_f(cfg, z, list(ref_polys), rng)
-        xi_max_emp, _ = disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f_emp, cfg.n)
-        anchor = RecenteringAnchor(x_des, cfg.visibility, cfg.area_bounds)
-        L_FV_emp = empirical_lipschitz_FV(cfg, anchor, rng)
+    L_f_emp = empirical_lipschitz_f(cfg, z, ref_polys, rng)
+    xi_max_emp, _ = disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f_emp, cfg.n)
 
     L_zm = np.array(
         [_cost_difference_constant(L_E, L_F, L_f, (cfg.n - 1) - m) for m in range(cfg.n)]
@@ -876,6 +849,7 @@ def compute_diagnostics(
     return DiagnosticsBundle(
         L_f=L_f,
         L_F=L_F,
+        L_FV=lipschitz_FV(cfg),
         L_E=L_E,
         F_lower=F_lower,
         eps0=float(eps0),
@@ -888,5 +862,4 @@ def compute_diagnostics(
         L_zm=L_zm,
         L_f_emp=L_f_emp,
         xi_max_emp=xi_max_emp,
-        L_FV_emp=L_FV_emp,
     )

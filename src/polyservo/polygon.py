@@ -26,7 +26,6 @@ __all__ = [
     "EPS_AREA",
     "EPS_ANGLE",
     "PolygonFeatures",
-    "centroid",
     "signed_area_sum",
     "area",
     "extract_state",
@@ -169,11 +168,6 @@ def _dynamics_batch(pts, z, ref):
 # ---------------------------------------------------------------------------
 # public single-polygon operations
 # ---------------------------------------------------------------------------
-
-
-def centroid(poly: PolygonFeatures):
-    """Arithmetic mean of the vertices."""
-    return poly.vertices.mean(axis=0)
 
 
 def signed_area_sum(poly: PolygonFeatures) -> float:

@@ -7,7 +7,7 @@ so replays are bit-identical.
 
 Mode composition order: breathing scale about the base centroid, then the
 traveling-wave displacement, then rigid spin about the base centroid, then
-rigid drift. Velocities are the analytic time derivatives of that chain.
+rigid drift.
 
 The flow estimator returns the target's image motion as one plain ``(2,)``
 centroid velocity; the controller applies it to every vertex.
@@ -135,28 +135,16 @@ class DeformableTarget:
             elif isinstance(mode, TravelingWave):
                 self._wave_phase[idx] = rng.uniform(0.0, 2.0 * np.pi)
 
-    @property
-    def n_vertices(self) -> int:
-        return self.base.shape[0]
-
     def sample(self, t: float):
-        """World vertices and their analytic velocities at time ``t``.
-
-        Returns ``(vertices (N, 2), velocities (N, 2))`` in meters and m/s.
-        """
+        """World vertices ``(N, 2)`` in meters at time ``t``."""
         if t < 0:
             raise ValueError("t must be nonnegative")
         pts = self.base - self.center
-        vel = np.zeros_like(pts)
 
         for idx, mode in enumerate(self.modes):
             if isinstance(mode, Breathing):
                 w = 2.0 * np.pi * mode.frequency
-                ph = self._breath_phase[idx]
-                scale = 1.0 + mode.amplitude * np.sin(w * t + ph)
-                dscale = mode.amplitude * w * np.cos(w * t + ph)
-                vel = scale * vel + dscale * pts
-                pts = scale * pts
+                pts = (1.0 + mode.amplitude * np.sin(w * t + self._breath_phase[idx])) * pts
 
         for idx, mode in enumerate(self.modes):
             if isinstance(mode, TravelingWave):
@@ -165,34 +153,24 @@ class DeformableTarget:
                 normal = np.array([-axis[1], axis[0]])
                 k = 2.0 * np.pi / mode.wavelength
                 ph = self._wave_phase[idx]
-                # Phase rides on the undeformed geometry so the derivative
-                # stays closed-form.
                 arg = k * ((self.base - self.center) @ axis - mode.speed * t) + ph
                 pts = pts + mode.amplitude * np.sin(arg)[:, None] * normal
-                vel = vel - mode.amplitude * k * mode.speed * np.cos(arg)[:, None] * normal
 
         for mode in self.modes:
             if isinstance(mode, RigidSpin):
-                th = mode.rate * t
-                c, s = np.cos(th), np.sin(th)
-                rot = np.array([[c, -s], [s, c]])
-                drot = mode.rate * np.array([[-s, -c], [c, -s]])
-                vel = vel @ rot.T + pts @ drot.T
-                pts = pts @ rot.T
+                c, s = np.cos(mode.rate * t), np.sin(mode.rate * t)
+                pts = pts @ np.array([[c, -s], [s, c]]).T
 
         pts = pts + self.center
         for mode in self.modes:
             if isinstance(mode, RigidDrift):
-                v = np.asarray(mode.velocity, dtype=float)
-                pts = pts + v * t
-                vel = vel + v
-
-        return pts, vel
+                pts = pts + np.asarray(mode.velocity, dtype=float) * t
+        return pts
 
     def validate(self, duration: float, samples: int = 64):
         """Check simplicity and non-degeneracy over the scenario duration."""
         for t in np.linspace(0.0, duration, samples):
-            pts, _ = self.sample(float(t))
+            pts = self.sample(float(t))
             d = np.abs(
                 (pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1]).sum()
             )

@@ -119,8 +119,7 @@ def step_world(pose: CameraPose, target: DeformableTarget, t_next: float, nu6, d
     :class:`TargetLost` when a vertex leaves the pixel image.
     """
     new_pose = step_pose(pose, nu6, dt)
-    world_pts, _ = target.sample(t_next)
-    s, depths = project_target(new_pose, world_pts)
+    s, depths = project_target(new_pose, target.sample(t_next))
     px = normalized_to_pixel(s, k)
     if (
         (px[:, 0] < 0).any()
@@ -192,8 +191,7 @@ def opening_scene(cfg):
     target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
     target.validate(cfg.duration)
     pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
-    world_pts, _ = target.sample(0.0)
-    s0, _ = project_target(pose, world_pts)
+    s0, _ = project_target(pose, target.sample(0.0))
     poly0 = PolygonFeatures(s0, cfg.reference_pair)
     diag = compute_diagnostics(
         cfg.ocp,

@@ -155,7 +155,7 @@ def test_criterion_04_zero_error_fixed_point():
     cfg = load_scenario(CONFIGS / "static_octagon.json")
     pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
     target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
-    s0, _ = project_target(pose, target.sample(0.0)[0])
+    s0, _ = project_target(pose, target.sample(0.0))
     poly = PolygonFeatures(s0, cfg.reference_pair)
     x0 = extract_state(poly)
     sol = solve_ocp(poly, x0, None, cfg.ocp, x0, pose.height)
@@ -209,7 +209,7 @@ def test_criterion_07_robust_feasibility():
     cfg0 = parse_scenario(base, "robust_base")
     pose = CameraPose.level(cfg0.initial_position, cfg0.initial_yaw)
     target = DeformableTarget(cfg0.target_base, cfg0.target_modes, seed=cfg0.target_seed)
-    s0, _ = project_target(pose, target.sample(0.0)[0])
+    s0, _ = project_target(pose, target.sample(0.0))
     poly0 = PolygonFeatures(s0, cfg0.reference_pair)
     diag = compute_diagnostics(
         cfg0.ocp,
@@ -276,7 +276,7 @@ def test_criterion_09_receding_step_performance():
     assert cfg.ocp.n == 10 and cfg.ocp.mask.all() and cfg.target_base.shape[0] == 12
     target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
     pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
-    s, _ = project_target(pose, target.sample(0.0)[0])
+    s, _ = project_target(pose, target.sample(0.0))
     controller = RecedingHorizonController(cfg.ocp, cfg.x_des)
     estimator = CentroidFlowEstimator()
     x = extract_state(PolygonFeatures(s, cfg.reference_pair))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyservo import analysis
 from polyservo.analysis import (
     STAT_VARIABLES,
     aggregate_sessions,
@@ -247,6 +248,36 @@ class TestCliBatch:
         assert summary["n_sessions"] == 2
         aborted = [r for r in summary["sessions"] if r["aborted"]]
         assert len(aborted) == 1
+
+    def test_jobs_clamped_to_session_count(self, tmp_path, monkeypatch):
+        # A stand-in pool that records its size and maps serially, so the
+        # test starts no process.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+        scen_dir = tmp_path / "scen"
+        scen_dir.mkdir()
+        (scen_dir / "one.json").write_text(json.dumps(tiny_scenario_doc(duration=0.3)))
+        spec_path = scen_dir / "spec.json"
+        for reps, expected in ((2, [2]), (1, [])):
+            sizes.clear()
+            spec_path.write_text(json.dumps({"scenarios": ["one.json"], "repetitions": reps}))
+            summary = run_batch(load_batch(spec_path), tmp_path / "out", jobs=8)
+            assert summary["n_sessions"] == reps
+            assert sizes == expected
 
 
 class TestVersionFlag:

@@ -271,3 +271,38 @@ def test_diagnose_setpoint_outside_safe_set_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(tiny_scenario_doc(x_des=[5.0, 0.0, -2.40795, 0.0])))
     assert cli_main(["diagnose", str(path)]) == 2
     assert "diagnose failed" in capsys.readouterr().err
+
+
+def _batch_dir(tmp_path, second):
+    """A batch of one good tiny scenario and ``second``, with short runs."""
+    good = tiny_scenario_doc(duration=5.0)
+    good["ocp"]["horizon"] = 4
+    good["ocp"]["solver"] = {"max_iters": 8, "grad_tol": 0.001}
+    (tmp_path / "good.json").write_text(json.dumps(good))
+    (tmp_path / "second.json").write_text(json.dumps(second))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenarios": ["good.json", "second.json"]}))
+    return spec
+
+
+def test_batch_with_malformed_scenario_exits_one_before_any_session(tmp_path):
+    spec = _batch_dir(tmp_path, tiny_scenario_doc(unexpected_key=1))
+    with pytest.raises(ConfigError, match="second.json.*unexpected_key"):
+        load_batch(spec)
+    res = _cli("batch", str(spec), cwd=tmp_path)
+    assert res.returncode == 1
+    assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_batch_records_failed_session_and_exits_two(tmp_path):
+    outside = tiny_scenario_doc(x_des=[5.0, 0.0, -2.40795, 0.0])
+    res = _cli("batch", str(_batch_dir(tmp_path, outside)), cwd=tmp_path)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "second_rep000: failed: x_des must be strictly inside the safe set" in res.stdout
+    assert "good_rep000: ok" in res.stdout
+    assert (tmp_path / "out" / "good_rep000.csv").exists()
+    assert (tmp_path / "out" / "aggregate.csv").exists()
+    assert not (tmp_path / "out" / "second_rep000.csv").exists()

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polyservo import (
     PolygonFeatures,
@@ -17,6 +19,7 @@ from polyservo import (
     total_cost,
 )
 from polyservo.barriers import EPS_L, InputLimits, RecenteringAnchor
+from polyservo.camera import FULL_MASK, UAV_MASK
 from polyservo.errors import (
     AngleSingularity,
     InfeasibleRollout,
@@ -33,6 +36,7 @@ from polyservo.nmpc import (
     cost_difference_bound,
     disturbance_feasibility_bound,
     empirical_lipschitz_f,
+    lipschitz_FV,
     lipschitz_LF,
     lipschitz_Lf,
     prediction_error_bound,
@@ -414,7 +418,9 @@ class TestDiagnostics:
 
     def test_cost_difference_bound(self, small_ocp, pentagon):
         x_des = extract_state(pentagon)
-        diag = compute_diagnostics(small_ocp, Z, x_des)
+        diag = compute_diagnostics(
+            small_ocp, Z, x_des, ref_polys=[pentagon], rng=np.random.default_rng(7)
+        )
         bound, lzm = cost_difference_bound(small_ocp.n - 1, e=0.7, cfg=small_ocp, diag=diag)
         assert lzm == pytest.approx(diag.L_E)
         bound0, _ = cost_difference_bound(1, e=0.0, cfg=small_ocp, diag=diag, state_norms=(0.5, 0.2))
@@ -428,13 +434,23 @@ class TestDiagnostics:
         for v in (diag.L_f, diag.L_F, diag.L_E, diag.F_lower, diag.eps0, diag.a_eps, diag.xi_max):
             assert v > 0
         assert diag.a_eps > diag.a_eps_f > 0
-        assert diag.L_f_emp is not None and diag.L_f_emp > 0
-        assert diag.L_FV_emp is not None and diag.L_FV_emp > 0
+        assert diag.L_f_emp > 0
+        assert diag.L_FV == lipschitz_FV(small_ocp) > 0
         assert diag.in_terminal_set(np.zeros(4))
         big = np.array([10.0, 0, 0, 0])
         assert not diag.in_terminal_set(big)
         d = diag.to_dict()
         assert set(d) >= {"L_f", "L_F", "L_E", "eps0", "a_eps", "xi_max"}
+
+    def test_setpoint_check_is_the_anchors(self, small_ocp, pentagon):
+        # Inside the field of view, but so close to its edge that the
+        # visibility value is below EPS_L: the controller's anchor rejects it.
+        x_des = extract_state(pentagon)
+        x_des[0] = small_ocp.visibility.x_max - 1e-7
+        with pytest.raises(ValueError, match="strictly inside"):
+            anchor_for(small_ocp, x_des)
+        with pytest.raises(ValueError, match="strictly inside"):
+            compute_diagnostics(small_ocp, Z, x_des, [pentagon], np.random.default_rng(0))
 
     def test_sidecar_dict_is_every_field_but_p_weights(self, small_ocp, pentagon):
         diag = compute_diagnostics(
@@ -470,3 +486,61 @@ class TestDiagnostics:
                 x = x + xi
                 err = np.linalg.norm(x - nom_states[i + 1])
                 assert err <= prediction_error_bound(i + 1, xi_bound, lf) + 1e-12
+
+
+# lipschitz_FV against the stage_cost oracle, on random input limits,
+# input weights and both masks. The fixtures are immutable values, so
+# sharing them across examples is safe.
+FV_PROPS = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+_limits = st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0), st.floats(0.2, 2.0))
+fv_inputs = st.fixed_dictionaries(
+    {
+        "limits": st.builds(InputLimits, _limits, _limits),
+        "r": st.lists(st.floats(0.01, 10.0), min_size=6, max_size=6).map(np.array),
+        "mask": st.sampled_from([FULL_MASK, UAV_MASK]).map(np.copy),
+    }
+)
+fractions = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(np.array)
+
+
+@FV_PROPS
+@given(
+    inputs=fv_inputs,
+    a=fractions,
+    b=fractions,
+    x_err=st.lists(st.floats(-0.1, 0.1), min_size=4, max_size=4).map(np.array),
+)
+def test_lipschitz_FV_bounds_stage_cost_differences(small_ocp, pentagon, inputs, a, b, x_err):
+    cfg = dataclasses.replace(small_ocp, **inputs)
+    c = 0.9 * cfg.masked_limits
+    nu_a, nu_b = c * a[cfg.mask], c * b[cfg.mask]
+    anchor = anchor_for(cfg, extract_state(pentagon))
+    fa = stage_cost(x_err, nu_a, cfg, anchor)
+    fb = stage_cost(x_err, nu_b, cfg, anchor)
+    # The state terms cancel in fa - fb only up to rounding.
+    rounding = 1e-14 * (abs(fa) + abs(fb))
+    assert abs(fa - fb) <= lipschitz_FV(cfg) * np.linalg.norm(nu_a - nu_b) * (1 + 1e-9) + rounding
+
+
+@FV_PROPS
+@given(inputs=fv_inputs)
+def test_lipschitz_FV_is_reached_at_the_corner(small_ocp, pentagon, inputs):
+    # A step of 1e-7 down the stage cost's steepest slope at the box corner
+    # c, the slope taken by central differences of the oracle, reaches the
+    # constant and does not exceed it.
+    cfg = dataclasses.replace(small_ocp, **inputs)
+    anchor = anchor_for(cfg, extract_state(pentagon))
+
+    def F(nu):
+        return stage_cost(np.zeros(4), nu, cfg, anchor)
+
+    c = 0.9 * cfg.masked_limits
+    grad = np.array([F(c + e) - F(c - e) for e in 1e-6 * np.eye(c.size)]) / 2e-6
+    fa, fb = F(c), F(c - 1e-7 * grad / np.linalg.norm(grad))
+    bound = lipschitz_FV(cfg) * 1e-7
+    assert (1 - 1e-5) * bound <= fa - fb <= bound * (1 + 1e-9) + 1e-14 * (abs(fa) + abs(fb))

@@ -6,7 +6,6 @@ from polyservo import (
     angle_gradient,
     area,
     area_gradient,
-    centroid,
     dynamics_matrix,
     extract_state,
     propagate_discrete,
@@ -23,17 +22,20 @@ TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 class TestCentroidArea:
     def test_square_centroid(self):
-        np.testing.assert_allclose(centroid(PolygonFeatures(UNIT_SQUARE)), [0, 0], atol=1e-15)
+        x = extract_state(PolygonFeatures(UNIT_SQUARE))
+        np.testing.assert_allclose(x[:2], [0, 0], atol=1e-15)
 
     def test_triangle_centroid(self):
-        np.testing.assert_allclose(centroid(PolygonFeatures(TRIANGLE)), [1 / 3, 1 / 3])
+        np.testing.assert_allclose(extract_state(PolygonFeatures(TRIANGLE))[:2], [1 / 3, 1 / 3])
 
     def test_translation_shifts_centroid(self):
         rng = np.random.default_rng(0)
         poly = random_polygon(rng, 7)
         t = np.array([0.21, -0.13])
         shifted = PolygonFeatures(poly.vertices + t)
-        np.testing.assert_allclose(centroid(shifted), centroid(poly) + t, atol=1e-14)
+        np.testing.assert_allclose(
+            extract_state(shifted)[:2], extract_state(poly)[:2] + t, atol=1e-14
+        )
 
     def test_ccw_square_area_sum(self):
         assert signed_area_sum(PolygonFeatures(UNIT_SQUARE)) == pytest.approx(2.0)
@@ -59,7 +61,7 @@ class TestCentroidArea:
         rng = np.random.default_rng(2)
         poly = random_polygon(rng, 6)
         lam = 1.7
-        c = centroid(poly)
+        c = extract_state(poly)[:2]
         scaled = PolygonFeatures(c + lam * (poly.vertices - c))
         assert area(scaled) == pytest.approx(lam**2 * area(poly), rel=1e-12)
 
@@ -79,7 +81,7 @@ class TestExtractState:
         poly = random_polygon(rng, 9)
         x = extract_state(poly)
         lam = 1.35
-        c = centroid(poly)
+        c = x[:2]
         scaled = PolygonFeatures(c + lam * (poly.vertices - c), poly.reference_pair)
         xs = extract_state(scaled)
         np.testing.assert_allclose(xs[:2], x[:2], atol=1e-13)

@@ -22,16 +22,13 @@ USERS = sorted(
 # Paper quantities that nothing in the system calls but the reproduction
 # checks: test_acceptance compares the area and angle gradients and the
 # state Jacobian with finite differences and audits rollouts against the
-# prediction-error bound, and TestDiagnostics checks both bounds. The
-# centroid is the first two entries of the moment state, which the
-# polygon feature tests pin on their own.
+# prediction-error bound, and TestDiagnostics checks both bounds.
 ALLOWED = {
     "area_gradient",
     "angle_gradient",
     "state_jacobian",
     "prediction_error_bound",
     "cost_difference_bound",
-    "centroid",
 }
 
 

@@ -7,7 +7,6 @@ from polyservo.targets import (
     CentroidFlowEstimator,
     DeformableTarget,
     RigidDrift,
-    RigidSpin,
     TravelingWave,
     estimate_centroid_flow,
     polygon_is_simple,
@@ -25,49 +24,27 @@ class TestGenerators:
     def test_no_modes_static(self):
         tgt = DeformableTarget(SQUARE)
         for t in (0.0, 1.3, 7.7):
-            pts, vel = tgt.sample(t)
-            np.testing.assert_array_equal(pts, SQUARE)
-            np.testing.assert_array_equal(vel, np.zeros_like(SQUARE))
+            np.testing.assert_array_equal(tgt.sample(t), SQUARE)
 
     def test_rigid_drift_velocity(self):
         tgt = DeformableTarget(SQUARE, [RigidDrift(velocity=(0.1, -0.05))])
-        pts, vel = tgt.sample(2.0)
-        np.testing.assert_allclose(vel, np.broadcast_to([0.1, -0.05], vel.shape))
-        np.testing.assert_allclose(pts, SQUARE + [0.2, -0.1], atol=1e-14)
+        np.testing.assert_allclose(tgt.sample(2.0), SQUARE + [0.2, -0.1], atol=1e-14)
 
     def test_breathing_area_ratio(self):
         tgt = DeformableTarget(SQUARE, [Breathing(amplitude=0.12, frequency=0.3)], seed=4)
         phase = tgt._breath_phase[0]
-        a0 = shoelace(tgt.sample(0.0)[0])
+        a0 = shoelace(tgt.sample(0.0))
         for t in (0.4, 1.1, 2.9):
-            a_t = shoelace(tgt.sample(t)[0])
+            a_t = shoelace(tgt.sample(t))
             lam0 = 1 + 0.12 * np.sin(phase)
             lam_t = 1 + 0.12 * np.sin(2 * np.pi * 0.3 * t + phase)
             assert a_t / a0 == pytest.approx((lam_t / lam0) ** 2, rel=1e-12)
-
-    def test_velocities_match_position_differences(self):
-        # Analytic velocities of the full mode stack vs central differences.
-        modes = [
-            Breathing(amplitude=0.08, frequency=0.25),
-            TravelingWave(amplitude=0.02, wavelength=0.5, speed=0.2, axis=(1.0, 0.3)),
-            RigidSpin(rate=0.3),
-            RigidDrift(velocity=(0.05, -0.02)),
-        ]
-        tgt = DeformableTarget(SQUARE, modes, seed=11)
-        h = 1e-6
-        for t in (0.5, 2.2):
-            _, vel = tgt.sample(t)
-            fd = (tgt.sample(t + h)[0] - tgt.sample(t - h)[0]) / (2 * h)
-            np.testing.assert_allclose(vel, fd, atol=1e-7)
 
     def test_seeded_replay_identical(self):
         modes = [TravelingWave(amplitude=0.03, wavelength=0.6, speed=0.1)]
         a = DeformableTarget(SQUARE, modes, seed=9)
         b = DeformableTarget(SQUARE, modes, seed=9)
-        pa, va = a.sample(3.21)
-        pb, vb = b.sample(3.21)
-        np.testing.assert_array_equal(pa, pb)
-        np.testing.assert_array_equal(va, vb)
+        np.testing.assert_array_equal(a.sample(3.21), b.sample(3.21))
 
     def test_validation_catches_self_intersection(self):
         pent = np.array([[0.3, 0.2], [0.0, 0.25], [-0.3, 0.2], [-0.15, -0.25], [0.15, -0.25]])
