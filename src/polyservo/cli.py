@@ -4,8 +4,8 @@ Exit codes: every command returns 1 on configuration errors. ``run``
 returns 0 when the scenario converged and 2 when it aborted or missed its
 thresholds. ``batch`` returns 0 when at least 90% of sessions converged
 and none failed to run; a failed session's reason is printed.
-``diagnose`` returns 2 when the scenario's opening scene admits no
-diagnostics, for example a setpoint outside the safe set. The output
+``diagnose`` and ``run`` return 2 when the opening scene admits no diagnostics,
+say a setpoint outside the safe set or a target off the image. The output
 directory defaults to ``./out`` and can be overridden by ``--out`` or the
 ``POLYSERVO_OUT`` environment variable.
 """

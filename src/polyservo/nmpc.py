@@ -727,37 +727,42 @@ def cost_difference_bound(m: int, e: float, cfg: OcpConfig, diag, state_norms=()
     return float(L_zm * e - lower_sum), float(L_zm)
 
 
-def empirical_lipschitz_f(
-    cfg: OcpConfig, z: float, polys, rng, n_samples: int = 200, radius: float = 1e-3
-) -> float:
+def empirical_lipschitz_f(cfg: OcpConfig, z: float, polys, rng, n_samples: int = 200) -> float:
     """Sampled Lipschitz estimate of the one-step stacked vertex/state map.
 
-    Perturbs the stacked (vertices, state) vector, steps both copies under a
-    random admissible input, and takes the worst ratio of output to input
-    distance.
+    Perturbs the stacked (vertices, state) vector by 1e-3, steps both copies
+    under a random admissible input, and takes the worst ratio of output to
+    input distance. The draws are made sample by sample, then all copies step
+    in one pass of the :mod:`polyservo.polygon` ``_batch`` helpers with a
+    leading copy and sample axis; ``polys`` share N and reference pair.
     """
+    radius = 1e-3
+    if len({poly.reference_pair for poly in polys}) > 1:
+        raise ValueError("reference polygons must share their reference pair")
+    verts = np.stack([poly.vertices for poly in polys])
+    n_v = verts.shape[1]
+    # The state offset cancels in the ratio but sets its rounding.
+    offsets = np.array([
+        [pts[:, 0].mean(), pts[:, 1].mean(), np.log(0.5 * abs(_shoelace_sum(pts))), 0.0]
+        for pts in verts
+    ])
     limits = cfg.limits.as_vector()
-    worst = 0.0
+    draws = []
     for _ in range(n_samples):
-        poly = polys[rng.integers(len(polys))]
-        pts = poly.vertices
-        n_v = pts.shape[0]
-        x = np.asarray(
-            [pts[:, 0].mean(), pts[:, 1].mean(), np.log(0.5 * abs(_shoelace_sum(pts))), 0.0]
-        )
+        k = rng.integers(len(polys))
         nu = rng.uniform(-1.0, 1.0, 6) * limits * cfg.mask
-        delta = rng.normal(size=2 * n_v + 4)
-        delta *= radius / np.linalg.norm(delta)
-        pts_b = pts + delta[: 2 * n_v].reshape(n_v, 2)
-        x_b = x + delta[2 * n_v :]
+        d = rng.normal(size=2 * n_v + 4)
+        draws.append((k, nu, d * (radius / np.linalg.norm(d))))
+    idx, nu, delta = (np.array(a) for a in zip(*draws))
 
-        def _step(p, s):
-            g, L, _, _, _ = _dynamics_batch(p, z, poly.reference_pair)
-            return p + (L @ nu) * cfg.dt, s + (g @ nu) * cfg.dt
-
-        pa, xa = _step(pts, x)
-        pb, xb = _step(pts_b, x_b)
-        num = np.sqrt(np.linalg.norm(pa - pb) ** 2 + np.linalg.norm(xa - xb) ** 2)
+    pts = np.stack([verts[idx], verts[idx] + delta[:, : 2 * n_v].reshape(-1, n_v, 2)])
+    x = np.stack([offsets[idx], offsets[idx] + delta[:, 2 * n_v :]])
+    g, L, _, _, _ = _dynamics_batch(pts, z, polys[0].reference_pair)
+    pts = pts + (L @ nu[:, None, :, None])[..., 0] * cfg.dt
+    x = x + (g @ nu[:, :, None])[..., 0] * cfg.dt
+    worst = 0.0
+    for dp, dx in zip(pts[0] - pts[1], x[0] - x[1]):
+        num = np.sqrt(np.linalg.norm(dp) ** 2 + np.linalg.norm(dx) ** 2)
         worst = max(worst, num / radius)
     return float(worst)
 

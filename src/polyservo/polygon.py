@@ -8,9 +8,11 @@ the centroid to the midpoint of two reference vertices).
 All public functions operate on a single polygon. The ``_batch``-suffixed
 helpers hold their arithmetic with leading batch dimensions allowed; they
 skip validation and report trouble through non-finite outputs. Besides the
-public functions here, only the sampled one-step Lipschitz estimate in
-:mod:`polyservo.nmpc` calls them: the controller's rollout is its own fused
-pass there, checked against :func:`propagate_discrete`.
+public functions here, the sampled one-step Lipschitz estimate in
+:mod:`polyservo.nmpc` calls them once with a leading copy and sample axis,
+and ``DeformableTarget.validate`` sums over a leading time axis. The
+controller's rollout is its own fused pass, checked against
+:func:`propagate_discrete`.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTarget
+from .polygon import _shoelace_sum
 
 __all__ = [
     "RigidDrift",
@@ -70,48 +71,33 @@ class TravelingWave:
             raise ValueError("traveling_wave axis must be a nonzero 2-vector")
 
 
-def _segments_intersect(p1, p2, q1, q2):
-    """Proper or touching intersection of segments p1p2 and q1q2."""
+def polygon_is_simple(pts):
+    """True where no two non-adjacent edges of the closed polygon intersect.
+
+    ``pts`` is ``(..., N, 2)`` and the result has the leading shape, one bool
+    for one polygon. Touching edges, collinear overlaps and repeated vertices
+    count as intersections. All edge pairs are tested in one array pass.
+    """
+    pts = np.asarray(pts, dtype=float)
+    n = pts.shape[-2]
+    i, j = np.triu_indices(n, 2)
+    keep = (i > 0) | (j < n - 1)  # edges n-1 and 0 are adjacent
+    i, j = i[keep], j[keep]
+    xy = np.moveaxis(pts, -1, 0)
+    p1, p2, q1, q2 = xy[..., i], xy[..., (i + 1) % n], xy[..., j], xy[..., (j + 1) % n]
 
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-
     def on_seg(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
+        return ((np.minimum(a, b) <= c) & (c <= np.maximum(a, b))).all(axis=0)
 
-    if d1 == 0 and on_seg(q1, q2, p1):
-        return True
-    if d2 == 0 and on_seg(q1, q2, p2):
-        return True
-    if d3 == 0 and on_seg(p1, p2, q1):
-        return True
-    if d4 == 0 and on_seg(p1, p2, q2):
-        return True
-    return False
-
-
-def polygon_is_simple(pts) -> bool:
-    """True when no two non-adjacent edges of the closed polygon intersect."""
-    pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
-    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_intersect(*edges[i], *edges[j]):
-                return False
-    return True
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    hit = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    hit |= (d1 == 0) & on_seg(q1, q2, p1) | (d2 == 0) & on_seg(q1, q2, p2)
+    hit |= (d3 == 0) & on_seg(p1, p2, q1) | (d4 == 0) & on_seg(p1, p2, q2)
+    return ~hit.any(axis=-1)
 
 
 class DeformableTarget:
@@ -167,16 +153,20 @@ class DeformableTarget:
                 pts = pts + np.asarray(mode.velocity, dtype=float) * t
         return pts
 
-    def validate(self, duration: float, samples: int = 64):
-        """Check simplicity and non-degeneracy over the scenario duration."""
-        for t in np.linspace(0.0, duration, samples):
-            pts = self.sample(float(t))
-            d = np.abs(
-                (pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1]).sum()
-            )
-            if d < 1e-12:
+    def validate(self, duration: float):
+        """Check simplicity and non-degeneracy at 64 times over the duration.
+
+        The stacked samples go through ``_shoelace_sum`` and
+        :func:`polygon_is_simple` with a leading time axis. The first failing
+        time is reported, a degenerate sample before a self-intersecting one.
+        """
+        times = np.linspace(0.0, duration, 64)
+        pts = np.stack([self.sample(float(t)) for t in times])
+        degenerate = np.abs(_shoelace_sum(pts)) < 1e-12
+        for t, deg, simple in zip(times, degenerate, polygon_is_simple(pts)):
+            if deg:
                 raise DegenerateTarget(f"target degenerate at t={t:.3f}")
-            if not polygon_is_simple(pts):
+            if not simple:
                 raise DegenerateTarget(f"target self-intersects at t={t:.3f}")
 
 

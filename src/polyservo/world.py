@@ -112,6 +112,15 @@ def project_target(pose: CameraPose, world_pts):
     return s, Z
 
 
+def _project_in_image(pose: CameraPose, world_pts, k: CameraIntrinsics):
+    """:func:`project_target`; raises :class:`TargetLost` off the pixel image."""
+    s, depths = project_target(pose, world_pts)
+    px = normalized_to_pixel(s, k)
+    if (px < 0).any() or (px > (k.width, k.height)).any():
+        raise TargetLost("target vertex left the image")
+    return s, depths
+
+
 def step_world(pose: CameraPose, target: DeformableTarget, t_next: float, nu6, dt: float, k: CameraIntrinsics):
     """Advance the pose by the applied command and reproject the target.
 
@@ -119,15 +128,7 @@ def step_world(pose: CameraPose, target: DeformableTarget, t_next: float, nu6, d
     :class:`TargetLost` when a vertex leaves the pixel image.
     """
     new_pose = step_pose(pose, nu6, dt)
-    s, depths = project_target(new_pose, target.sample(t_next))
-    px = normalized_to_pixel(s, k)
-    if (
-        (px[:, 0] < 0).any()
-        or (px[:, 0] > k.width).any()
-        or (px[:, 1] < 0).any()
-        or (px[:, 1] > k.height).any()
-    ):
-        raise TargetLost("target vertex left the image")
+    s, depths = _project_in_image(new_pose, target.sample(t_next), k)
     return new_pose, s, depths
 
 
@@ -187,11 +188,12 @@ def opening_scene(cfg):
 
     ``poly0`` is the target's true t=0 projection from the level initial
     pose; the diagnostics are evaluated on it at the controller's depth.
+    Raises :class:`TargetLost` when ``poly0`` is not inside the pixel image.
     """
     target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
     target.validate(cfg.duration)
     pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
-    s0, _ = project_target(pose, target.sample(0.0))
+    s0, _ = _project_in_image(pose, target.sample(0.0), cfg.intrinsics)
     poly0 = PolygonFeatures(s0, cfg.reference_pair)
     diag = compute_diagnostics(
         cfg.ocp,

@@ -23,7 +23,7 @@ import polyservo
 from polyservo.cli import main as cli_main
 from polyservo.config import load_batch, load_scenario, parse_scenario
 from polyservo.errors import ConfigError
-from test_world import tiny_scenario_doc
+from test_world import off_image_doc, tiny_scenario_doc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SCENARIOS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
@@ -271,6 +271,19 @@ def test_diagnose_setpoint_outside_safe_set_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(tiny_scenario_doc(x_des=[5.0, 0.0, -2.40795, 0.0])))
     assert cli_main(["diagnose", str(path)]) == 2
     assert "diagnose failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose", "batch"])
+def test_opening_frame_outside_image_exits_two_without_traceback(tmp_path, command):
+    (tmp_path / "off.json").write_text(json.dumps(off_image_doc()))
+    (tmp_path / "spec.json").write_text(json.dumps({"scenarios": ["off.json"]}))
+    res = _cli(command, "spec.json" if command == "batch" else "off.json", cwd=tmp_path)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    if command == "batch":
+        assert "off_rep000: failed: target vertex left the image" in res.stdout
+    else:
+        assert f"{command} failed: target vertex left the image" in res.stderr
 
 
 def _batch_dir(tmp_path, second):

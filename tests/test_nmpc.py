@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polyservo import (
     PolygonFeatures,
     RecedingHorizonController,
+    area,
     extract_state,
     local_controller_h,
     propagate_discrete,
@@ -486,6 +487,36 @@ class TestDiagnostics:
                 x = x + xi
                 err = np.linalg.norm(x - nom_states[i + 1])
                 assert err <= prediction_error_bound(i + 1, xi_bound, lf) + 1e-12
+
+
+    @pytest.mark.parametrize("seed, mask", [(0, FULL_MASK), (1, FULL_MASK), (2, UAV_MASK)])
+    def test_sampled_constant_is_the_oracle_step_ratio(self, small_ocp, pentagon, seed, mask):
+        # Replaying the sampler's draws and stepping each pair with the
+        # public propagate_discrete at zero flow gives the same worst ratio:
+        # L_f_emp samples the map that criterion 07 and the audit above step.
+        cfg = dataclasses.replace(small_ocp, mask=mask.copy())
+        polys = [pentagon, random_polygon(np.random.default_rng(seed), 5)]
+        radius, n_samples = 1e-3, 60
+        lf_emp = empirical_lipschitz_f(cfg, Z, polys, np.random.default_rng(seed), n_samples)
+        rng = np.random.default_rng(seed)
+        limits = cfg.limits.as_vector()
+        worst = 0.0
+        for _ in range(n_samples):
+            poly = polys[rng.integers(len(polys))]
+            n_v = poly.n_vertices
+            nu = rng.uniform(-1.0, 1.0, 6) * limits * cfg.mask
+            delta = rng.normal(size=2 * n_v + 4)
+            delta *= radius / np.linalg.norm(delta)
+            x = np.array([*poly.vertices.mean(axis=0), np.log(area(poly)), 0.0])
+            moved = PolygonFeatures(
+                poly.vertices + delta[: 2 * n_v].reshape(n_v, 2), poly.reference_pair
+            )
+            flow = np.zeros((n_v, 2))
+            pa, xa = propagate_discrete(poly, x, nu, flow, cfg.dt, Z)
+            pb, xb = propagate_discrete(moved, x + delta[2 * n_v :], nu, flow, cfg.dt, Z)
+            dist = np.sqrt(((pa.vertices - pb.vertices) ** 2).sum() + ((xa - xb) ** 2).sum())
+            worst = max(worst, dist / radius)
+        assert lf_emp == pytest.approx(worst, rel=1e-12)
 
 
 # lipschitz_FV against the stage_cost oracle, on random input limits,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyservo.errors import DegenerateTarget
 from polyservo.targets import (
@@ -58,6 +60,100 @@ class TestGenerators:
         assert polygon_is_simple(SQUARE)
         bowtie = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=float)
         assert not polygon_is_simple(bowtie)
+
+
+def _segments_intersect(p1, p2, q1, q2):
+    """Reference: proper or touching intersection of segments p1p2 and q1q2."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return True
+
+    def on_seg(a, b, c):
+        return (
+            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    return (
+        (d1 == 0 and on_seg(q1, q2, p1))
+        or (d2 == 0 and on_seg(q1, q2, p2))
+        or (d3 == 0 and on_seg(p1, p2, q1))
+        or (d4 == 0 and on_seg(p1, p2, q2))
+    )
+
+
+def simple_reference(pts):
+    """Pairwise loop over the non-adjacent edge pairs of the closed polygon."""
+    n = len(pts)
+    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if _segments_intersect(*edges[i], *edges[j]):
+                return False
+    return True
+
+
+def _by_angle(points):
+    """Order points by angle about their mean: mostly simple, often touching."""
+    pts = np.array(points, dtype=float)
+    d = pts - pts.mean(axis=0)
+    return pts[np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")]
+
+
+# Small integer lattices make collinear, touching and repeated vertices common.
+SIMPLE_PROPS = settings(max_examples=300, deadline=None, derandomize=True)
+_lattice_point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+_lattice_polygon = st.one_of(
+    st.lists(_lattice_point, min_size=3, max_size=12).map(lambda p: np.array(p, dtype=float)),
+    st.lists(_lattice_point, min_size=3, max_size=12, unique=True).map(_by_angle),
+)
+
+
+@SIMPLE_PROPS
+@given(_lattice_polygon)
+def test_simplicity_matches_pairwise_reference(pts):
+    assert polygon_is_simple(pts) == simple_reference(pts)
+
+
+# Each touches at a vertex that only one of the predicate's four touching
+# tests sees; random lattice polygons rarely hit these.
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[0, 1], [1, 1], [1, 0], [0, 0], [0, 2]],
+        [[3, 1], [2, 2], [3, 2], [3, 3]],
+        [[3, 3], [3, 1], [3, 2], [1, 3]],
+        [[0, 3], [2, 1], [2, 0], [1, 2]],
+    ],
+)
+def test_touching_at_one_vertex_is_not_simple(points):
+    pts = np.array(points, dtype=float)
+    assert not simple_reference(pts)
+    assert not polygon_is_simple(pts)
+
+
+@SIMPLE_PROPS
+@given(
+    st.integers(3, 12).flatmap(
+        lambda n: st.lists(
+            st.lists(_lattice_point, min_size=n, max_size=n), min_size=1, max_size=6
+        )
+    )
+)
+def test_stacked_simplicity_matches_one_call_per_polygon(polys):
+    stack = np.array(polys, dtype=float)
+    batched = polygon_is_simple(stack)
+    assert batched.shape == (len(polys),)
+    assert batched.tolist() == [bool(polygon_is_simple(p)) for p in stack]
 
 
 class TestFlowEstimator:

@@ -13,6 +13,7 @@ from polyservo.world import (
     CSV_HEADER,
     CameraPose,
     inject_disturbance,
+    opening_scene,
     project_target,
     run_scenario,
     step_pose,
@@ -274,6 +275,20 @@ class TestLoopEndings:
         assert all(col.shape == (0,) for col in log.columns.values())
         assert log.columns["iters"].dtype.kind == "i"
         assert self._csv_lines(log, tmp_path) == [CSV_HEADER]
+
+
+def off_image_doc():
+    """``static_octagon`` moved so that its opening frame has a vertex at -16.6 px."""
+    doc = json.loads((CONFIGS / "static_octagon.json").read_text())
+    doc["initial_pose"]["position"] = [1.1, -0.12, 2.25]
+    return doc
+
+
+def test_opening_frame_outside_image_is_target_lost():
+    # The same pixel check as every later frame: no session starts on a
+    # polygon the camera cannot see.
+    with pytest.raises(TargetLost, match="left the image"):
+        opening_scene(parse_scenario(off_image_doc(), "off_image"))
 
 
 def _intrinsics():
