@@ -8,7 +8,7 @@ and against the printed closed-form variant of the area row.
 
 import numpy as np
 
-from polyservo import PolygonFeatures, dynamics_matrix, extract_state
+from polyservo import PolygonFeatures, dynamics_matrix, extract_state, printed_dynamics_matrix
 from polyservo.camera import interaction_matrices
 
 rng = np.random.default_rng(3)
@@ -22,7 +22,7 @@ print("vertices (normalized):")
 print(np.round(poly.vertices, 4))
 print("\nstate [sx, sy, log-area, angle-tangent]:", np.round(x, 5))
 
-g = dynamics_matrix(poly, x, z)
+g = dynamics_matrix(poly, z)
 print("\ninput map g (chain rule):")
 print(np.round(g, 4))
 
@@ -38,7 +38,7 @@ for name, idx in (("v_z", 2), ("w_x", 3), ("w_z", 5)):
         err = np.linalg.norm(x_new - (x + g @ nu * step))
         print(f"  {name}  dt={step:.0e}  |error|={err:.3e}")
 
-gp = dynamics_matrix(poly, x, z, mode="paper_closed_form")
+gp = printed_dynamics_matrix(poly, x, z)
 print("\narea row, chain rule  :", np.round(g[2], 4))
 print("area row, closed form :", np.round(gp[2], 4))
 print("(the closed-form variant keeps a constant factor on the angular-rate")

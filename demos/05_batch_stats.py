@@ -32,6 +32,9 @@ with tempfile.TemporaryDirectory() as tmp:
 
 print(f"{summary['n_converged']}/{summary['n_sessions']} sessions converged")
 print("\naggregate steady-state statistics:")
-for name, mean, vmin, vmax, std in summary["stats"].rows():
-    print(f"  {name:9s} mean={mean:8.4f} min={vmin:8.4f} max={vmax:8.4f} std={std:8.4f}")
+for name, v in summary["stats"].items():
+    print(
+        f"  {name:9s} mean={v['mean']:8.4f} min={v['min']:8.4f}"
+        f" max={v['max']:8.4f} std={v['std']:8.4f}"
+    )
 print(f"\nper-session CSVs, aggregate.csv, and summary.svg are in {out}/")

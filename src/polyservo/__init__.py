@@ -51,6 +51,7 @@ from .polygon import (
     area_gradient,
     dynamics_matrix,
     extract_state,
+    printed_dynamics_matrix,
     propagate_discrete,
     signed_area_sum,
     state_jacobian,
@@ -62,6 +63,5 @@ from .targets import (
     RigidDrift,
     RigidSpin,
     TravelingWave,
-    estimate_centroid_flow,
 )
 from .world import CameraPose, SimLog, inject_disturbance, run_scenario, step_world

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +15,6 @@ from .world import SimLog, run_scenario
 __all__ = [
     "steady_state_error",
     "convergence_ok",
-    "SessionStats",
     "aggregate_sessions",
     "run_batch",
     "write_run_outputs",
@@ -26,6 +23,11 @@ __all__ = [
 # Aggregate statistics follow the summary figures: centroid in pixels,
 # area error in normalized log units, angle error in degrees.
 STAT_VARIABLES = ("ex_px", "ey_px", "esig", "eang_deg")
+# Steady-state thresholds every scenario shares; the window and the angle
+# threshold are the scenario's ``convergence`` settings.
+CENTROID_FRAC = 0.02  # mean |centroid error| per axis, of the image half-width
+SIGMA_TOL = 0.05  # mean |log-area error|
+BARRIER_MARGIN = 0.02  # least L1 and L2 over the window is at least 1 - margin
 
 
 def _tail(n: int, window: float) -> slice:
@@ -76,33 +78,24 @@ def convergence_ok(log: SimLog, cfg: ScenarioConfig) -> bool:
     tail = _tail(log.n_steps, spec.window)
     barriers_safe = (cols["L1"] > 0).all() and (cols["L2"] > 0).all()
     barriers_tail = (
-        cols["L1"][tail].min() >= 1.0 - spec.barrier_margin
-        and cols["L2"][tail].min() >= 1.0 - spec.barrier_margin
+        cols["L1"][tail].min() >= 1.0 - BARRIER_MARGIN
+        and cols["L2"][tail].min() >= 1.0 - BARRIER_MARGIN
     )
     return bool(
-        sse["ex"] <= spec.centroid_frac * half_w
-        and sse["ey"] <= spec.centroid_frac * half_w
-        and sse["esig"] <= spec.sigma_tol
+        sse["ex"] <= CENTROID_FRAC * half_w
+        and sse["ey"] <= CENTROID_FRAC * half_w
+        and sse["esig"] <= SIGMA_TOL
         and sse["eang_deg"] <= spec.angle_deg
         and barriers_safe
         and barriers_tail
     )
 
 
-@dataclass
-class SessionStats:
-    """Across-session statistics of the steady-state errors."""
+def aggregate_sessions(per_session: list) -> dict:
+    """Reduce per-session steady-state dicts to ``{name: {mean, min, max, std}}``.
 
-    variables: dict  # name -> {"mean", "min", "max", "std"}
-
-    def rows(self):
-        for name in STAT_VARIABLES:
-            v = self.variables[name]
-            yield name, v["mean"], v["min"], v["max"], v["std"]
-
-
-def aggregate_sessions(per_session: list) -> SessionStats:
-    """Reduce per-session steady-state dicts into summary statistics."""
+    The keys are :data:`STAT_VARIABLES`, in that order.
+    """
     if not per_session:
         raise ValueError("no sessions to aggregate")
     variables = {}
@@ -114,7 +107,7 @@ def aggregate_sessions(per_session: list) -> SessionStats:
             "max": float(vals.max()),
             "std": float(vals.std()),
         }
-    return SessionStats(variables=variables)
+    return variables
 
 
 def write_run_outputs(log: SimLog, cfg: ScenarioConfig, out_dir, plots: bool = True):
@@ -183,6 +176,9 @@ def run_batch(spec: BatchSpec, out_dir, jobs: int = 1):
     tasks = [(path, name, off, str(out_dir)) for path, name, off in spec.sessions()]
     jobs = min(jobs, len(tasks))
     if jobs > 1:
+        # Imported here: it loads multiprocessing, which only a pool needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_session, tasks))
     else:
@@ -194,15 +190,12 @@ def run_batch(spec: BatchSpec, out_dir, jobs: int = 1):
         with open(out_dir / "aggregate.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["variable", "mean", "min", "max", "std"])
-            for row in stats.rows():
-                writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+            for name, v in stats.items():
+                writer.writerow([name] + [repr(v[k]) for k in ("mean", "min", "max", "std")])
 
         bar_chart(
             out_dir / "summary.svg",
-            [
-                (name, v["mean"], v["std"], v["min"], v["max"])
-                for name, v in ((n, stats.variables[n]) for n in STAT_VARIABLES)
-            ],
+            [(name, v["mean"], v["std"], v["min"], v["max"]) for name, v in stats.items()],
         )
 
     return {

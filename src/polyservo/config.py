@@ -32,24 +32,26 @@ __all__ = ["ConvergenceSpec", "ScenarioConfig", "BatchSpec", "load_scenario", "l
 
 @dataclass(frozen=True)
 class ConvergenceSpec:
-    """Steady-state thresholds used for the run exit status."""
+    """The steady-state window and angle threshold of the run exit status.
+
+    The centroid, area and barrier thresholds no scenario varies are the
+    constants of :mod:`polyservo.analysis`.
+    """
 
     window: float = 0.2  # tail fraction of the run
-    centroid_frac: float = 0.02  # of the normalized image half-width, per axis
-    sigma_tol: float = 0.05
     angle_deg: float = 2.0
-    barrier_margin: float = 0.02
 
     def __post_init__(self):
         if not 0.0 < self.window <= 1.0:
             raise ValueError("window must be in (0, 1]")
+        if not self.angle_deg > 0:
+            raise ValueError("angle_deg must be positive")
 
 
 @dataclass
 class ScenarioConfig:
     name: str
     intrinsics: CameraIntrinsics
-    depth: object  # "altimeter" or a fixed float
     target_base: np.ndarray
     target_modes: list
     target_seed: int
@@ -93,7 +95,6 @@ _TOP_KEYS = {
     "name",
     "mode",
     "intrinsics",
-    "depth",
     "target",
     "initial_pose",
     "x_des",
@@ -195,13 +196,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         block = "intrinsics"
         intrinsics = _parse_fields(CameraIntrinsics, _require(doc, "intrinsics", "scenario"), block)
 
-        block = "depth"
-        depth = _require(doc, "depth", "scenario")
-        if depth != "altimeter":
-            depth = _number(depth)
-            if not depth > 0:
-                raise ConfigError("fixed depth must be positive")
-
         block = "target"
         td = _object(
             _require(doc, "target", "scenario"),
@@ -284,6 +278,8 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
 
         block = "max_recovery_steps"
         max_recovery_steps = _number(doc.get("max_recovery_steps", 20), int)
+        if max_recovery_steps < 0:
+            raise ConfigError("max_recovery_steps must be nonnegative")
     except _VALUE_ERRORS as exc:
         raise ConfigError(f"{block}: {exc}") from exc
 
@@ -295,7 +291,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
     return ScenarioConfig(
         name=str(doc.get("name", name_hint)),
         intrinsics=intrinsics,
-        depth=depth,
         target_base=base,
         target_modes=modes,
         target_seed=target_seed,

@@ -94,12 +94,21 @@ _LOCAL_GAIN = 1.2
 _LOCAL_DAMPING = 0.05
 _LOCAL_CLAMP = 0.95
 _ABAR_LIMIT = 2.0  # half-width of the angle-state box (diagnostics)
+# Sampled one-step Lipschitz estimate: draws and perturbation radius.
+_LIPSCHITZ_SAMPLES = 200
+_LIPSCHITZ_RADIUS = 1e-3
 
 
 @dataclass
 class SolverParams:
     max_iters: int = 30
     grad_tol: float = 1e-5
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass
@@ -155,7 +164,6 @@ class OcpConfig:
 class OcpSolution:
     controls: np.ndarray  # (n, M) masked commands
     predicted_states: np.ndarray  # (n+1, 4)
-    predicted_vertices: np.ndarray  # (n+1, N, 2)
     cost: float
     iterations: int
     status: str
@@ -528,13 +536,9 @@ def solve_ocp(
 
     controls = theta.reshape(n, m)
     pred = kern.predict(controls) if np.isfinite(f) else None
-    if pred is None:
-        pred = np.repeat(x0[None], n + 1, axis=0), np.repeat(poly.vertices[None], n + 1, axis=0)
-    states, verts = pred
     return OcpSolution(
         controls=controls,
-        predicted_states=states,
-        predicted_vertices=verts,
+        predicted_states=np.repeat(x0[None], n + 1, axis=0) if pred is None else pred[0],
         cost=float(f),
         iterations=iterations,
         status=status,
@@ -554,7 +558,7 @@ def local_controller_h(x_err, poly: PolygonFeatures, cfg: OcpConfig, z: float):
     masked input map loses rank.
     """
     x_err = np.asarray(x_err, dtype=float)
-    g = dynamics_matrix(poly, None, z)[:, cfg.mask]
+    g = dynamics_matrix(poly, z)[:, cfg.mask]
     if np.linalg.matrix_rank(g, tol=1e-10) < 4:
         return np.zeros(cfg.n_inputs)
     ggt = g @ g.T + (_LOCAL_DAMPING * _LOCAL_DAMPING) * np.eye(4)
@@ -590,12 +594,11 @@ class RecedingHorizonController:
     step falls back to the local controller alone (recovery mode).
     """
 
-    def __init__(self, cfg: OcpConfig, x_des, z: float | None = None):
+    def __init__(self, cfg: OcpConfig, x_des):
         _keep_freed_heap()
         self.cfg = cfg
         self.x_des = np.asarray(x_des, dtype=float)
         self.anchor = RecenteringAnchor(self.x_des, cfg.visibility, cfg.area_bounds)
-        self.z = z
         self._prev_controls = None
 
     def warm_start(self, poly: PolygonFeatures, x0, flow, z: float):
@@ -620,9 +623,8 @@ class RecedingHorizonController:
             tail = local_controller_h(states[k] - self.x_des, tail_poly, cfg, z)
         return np.vstack([shifted, tail[None]])
 
-    def step(self, poly: PolygonFeatures, x_meas, flow, z: float | None = None) -> StepResult:
+    def step(self, poly: PolygonFeatures, x_meas, flow, z: float) -> StepResult:
         cfg = self.cfg
-        z = self.z if z is None else z
         x_meas = np.asarray(x_meas, dtype=float)
         try:
             warm = self.warm_start(poly, x_meas, flow, z)
@@ -727,16 +729,16 @@ def cost_difference_bound(m: int, e: float, cfg: OcpConfig, diag, state_norms=()
     return float(L_zm * e - lower_sum), float(L_zm)
 
 
-def empirical_lipschitz_f(cfg: OcpConfig, z: float, polys, rng, n_samples: int = 200) -> float:
+def empirical_lipschitz_f(cfg: OcpConfig, z: float, polys, rng) -> float:
     """Sampled Lipschitz estimate of the one-step stacked vertex/state map.
 
-    Perturbs the stacked (vertices, state) vector by 1e-3, steps both copies
-    under a random admissible input, and takes the worst ratio of output to
-    input distance. The draws are made sample by sample, then all copies step
-    in one pass of the :mod:`polyservo.polygon` ``_batch`` helpers with a
-    leading copy and sample axis; ``polys`` share N and reference pair.
+    Perturbs the stacked (vertices, state) vector by ``_LIPSCHITZ_RADIUS``,
+    steps both copies under a random admissible input, and takes the worst
+    ratio of output to input distance over ``_LIPSCHITZ_SAMPLES`` draws. The
+    draws are made sample by sample, then all copies step in one pass of the
+    :mod:`polyservo.polygon` ``_batch`` helpers with a leading copy and
+    sample axis; ``polys`` share N and reference pair.
     """
-    radius = 1e-3
     if len({poly.reference_pair for poly in polys}) > 1:
         raise ValueError("reference polygons must share their reference pair")
     verts = np.stack([poly.vertices for poly in polys])
@@ -748,11 +750,11 @@ def empirical_lipschitz_f(cfg: OcpConfig, z: float, polys, rng, n_samples: int =
     ])
     limits = cfg.limits.as_vector()
     draws = []
-    for _ in range(n_samples):
+    for _ in range(_LIPSCHITZ_SAMPLES):
         k = rng.integers(len(polys))
         nu = rng.uniform(-1.0, 1.0, 6) * limits * cfg.mask
         d = rng.normal(size=2 * n_v + 4)
-        draws.append((k, nu, d * (radius / np.linalg.norm(d))))
+        draws.append((k, nu, d * (_LIPSCHITZ_RADIUS / np.linalg.norm(d))))
     idx, nu, delta = (np.array(a) for a in zip(*draws))
 
     pts = np.stack([verts[idx], verts[idx] + delta[:, : 2 * n_v].reshape(-1, n_v, 2)])
@@ -763,7 +765,7 @@ def empirical_lipschitz_f(cfg: OcpConfig, z: float, polys, rng, n_samples: int =
     worst = 0.0
     for dp, dx in zip(pts[0] - pts[1], x[0] - x[1]):
         num = np.sqrt(np.linalg.norm(dp) ** 2 + np.linalg.norm(dx) ** 2)
-        worst = max(worst, num / radius)
+        worst = max(worst, num / _LIPSCHITZ_RADIUS)
     return float(worst)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "area_gradient",
     "angle_gradient",
     "dynamics_matrix",
+    "printed_dynamics_matrix",
     "state_jacobian",
     "propagate_discrete",
 ]
@@ -213,24 +214,15 @@ def angle_gradient(poly: PolygonFeatures):
     return _angle_grad_batch(poly.vertices, poly.reference_pair)
 
 
-def dynamics_matrix(poly: PolygonFeatures, x, z: float, mode: str = "chain_rule"):
+def dynamics_matrix(poly: PolygonFeatures, z: float):
     """4x6 input map g such that d/dt state = g @ nu under camera motion.
 
-    ``chain_rule`` (default) derives every entry from the vertices through
-    the analytic gradients and is the ground truth used for control.
-    ``paper_closed_form`` reproduces the printed closed-form rows instead:
-    the area row then carries a constant factor of 9 on its angular-rate
-    terms with the opposite column pairing, and the angle row takes the
-    angle state from ``x`` rather than the vertices. The two modes are
-    compared, not mixed. ``x`` is read only by ``paper_closed_form``.
+    Every entry is derived from the vertices through the analytic gradients
+    (chain rule); this is the ground truth used for control.
     """
-    if mode == "chain_rule":
-        _check_nondegenerate(poly)
-        g, _, _, _, _ = _dynamics_batch(poly.vertices, z, poly.reference_pair)
-        return g
-    if mode == "paper_closed_form":
-        return _dynamics_closed_form(poly, np.asarray(x, dtype=float), z)
-    raise ValueError(f"unknown mode {mode!r}")
+    _check_nondegenerate(poly)
+    g, _, _, _, _ = _dynamics_batch(poly.vertices, z, poly.reference_pair)
+    return g
 
 
 def _check_nondegenerate(poly: PolygonFeatures):
@@ -241,7 +233,14 @@ def _check_nondegenerate(poly: PolygonFeatures):
         raise AngleSingularity("dynamics undefined near singular reference angle")
 
 
-def _dynamics_closed_form(poly: PolygonFeatures, x, z: float):
+def printed_dynamics_matrix(poly: PolygonFeatures, x, z: float):
+    """The printed closed-form variant of :func:`dynamics_matrix`.
+
+    The area row carries a constant factor of 9 on its angular-rate terms
+    with the opposite column pairing, and the angle row takes the angle
+    state from ``x`` rather than the vertices. It is compared with the
+    chain-rule map, never used for control.
+    """
     if z <= 0:
         raise ValueError("depth must be positive")
     _check_nondegenerate(poly)
@@ -250,11 +249,11 @@ def _dynamics_closed_form(poly: PolygonFeatures, x, z: float):
     ys = pts[:, 1]
     n = poly.n_vertices
     d = _shoelace_terms(pts)
-    _, _, _, a_bar = x
+    _, _, _, a_bar = np.asarray(x, dtype=float)
 
     g = np.zeros((4, 6))
     # The printed centroid rows are the vertex-averaged interaction matrix
-    # (its depth columns written through the state); both modes share the
+    # (its depth columns written through the state); both forms share the
     # identical averaging arithmetic so rows 1-2 agree exactly.
     g[:2] = interaction_matrices(pts, z).mean(axis=0)
     sum_xd = float(((xs + np.roll(xs, -1)) * d).sum())

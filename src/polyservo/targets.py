@@ -9,8 +9,10 @@ Mode composition order: breathing scale about the base centroid, then the
 traveling-wave displacement, then rigid spin about the base centroid, then
 rigid drift.
 
-The flow estimator returns the target's image motion as one plain ``(2,)``
-centroid velocity; the controller applies it to every vertex.
+The flow estimator differences successive measured centroids and removes
+the image motion the camera's own velocity explains. It returns the
+target's image motion as one plain ``(2,)`` centroid velocity; the
+controller applies it to every vertex.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "Breathing",
     "TravelingWave",
     "DeformableTarget",
-    "estimate_centroid_flow",
     "CentroidFlowEstimator",
 ]
 
@@ -170,23 +171,8 @@ class DeformableTarget:
                 raise DegenerateTarget(f"target self-intersects at t={t:.3f}")
 
 
-def estimate_centroid_flow(prev, curr, L_hat, nu_hat):
-    """Finite-difference centroid flow ``(2,)`` with camera motion removed.
-
-    ``prev`` and ``curr`` are ``(centroid (2,), time)`` samples; ``L_hat`` is
-    the 2x6 centroid interaction matrix approximation and ``nu_hat`` the
-    camera velocity believed active over the interval.
-    """
-    (s_prev, t_prev), (s_curr, t_curr) = prev, curr
-    dt = t_curr - t_prev
-    if dt <= 0:
-        raise ValueError("samples must be time-ordered")
-    ds = (np.asarray(s_curr, dtype=float) - np.asarray(s_prev, dtype=float)) / dt
-    return ds - np.asarray(L_hat, dtype=float) @ np.asarray(nu_hat, dtype=float)
-
-
 class CentroidFlowEstimator:
-    """Stateful wrapper holding the previous centroid sample.
+    """Finite-difference centroid flow with camera motion removed.
 
     The first update has nothing to difference against and returns zero flow
     (the target is treated as static for the first control step).
@@ -196,10 +182,20 @@ class CentroidFlowEstimator:
         self._prev = None
 
     def update(self, sbar, t: float, L_hat, nu_hat):
+        """Flow ``(2,)`` since the previous centroid sample.
+
+        ``sbar`` is the measured centroid at time ``t``; ``L_hat`` is the 2x6
+        centroid interaction matrix approximation and ``nu_hat`` the camera
+        velocity believed active over the interval.
+        """
         sbar = np.asarray(sbar, dtype=float).copy()
         if self._prev is None:
             self._prev = (sbar, t)
             return np.zeros(2)
-        flow = estimate_centroid_flow(self._prev, (sbar, t), L_hat, nu_hat)
+        s_prev, t_prev = self._prev
+        dt = t - t_prev
+        if dt <= 0:
+            raise ValueError("samples must be time-ordered")
+        ds = (sbar - s_prev) / dt
         self._prev = (sbar, t)
-        return flow
+        return ds - np.asarray(L_hat, dtype=float) @ np.asarray(nu_hat, dtype=float)

@@ -177,17 +177,12 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _depth_for_controller(depth_cfg, pose: CameraPose) -> float:
-    if depth_cfg == "altimeter":
-        return pose.height
-    return float(depth_cfg)
-
-
 def opening_scene(cfg):
     """``(target, pose, poly0, diagnostics)`` a session of ``cfg`` starts from.
 
     ``poly0`` is the target's true t=0 projection from the level initial
-    pose; the diagnostics are evaluated on it at the controller's depth.
+    pose; the diagnostics are evaluated on it at the camera's height, the
+    depth the controller reads from its altimeter.
     Raises :class:`TargetLost` when ``poly0`` is not inside the pixel image.
     """
     target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
@@ -197,7 +192,7 @@ def opening_scene(cfg):
     poly0 = PolygonFeatures(s0, cfg.reference_pair)
     diag = compute_diagnostics(
         cfg.ocp,
-        _depth_for_controller(cfg.depth, pose),
+        pose.height,
         cfg.x_des,
         ref_polys=[poly0],
         rng=np.random.default_rng(cfg.disturbance_seed + 1),
@@ -234,7 +229,7 @@ def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
 
     for k_step in range(n_steps):
         t = k_step * dt
-        z_ctrl = _depth_for_controller(cfg.depth, pose)
+        z_ctrl = pose.height
 
         flow = None
         if estimator is not None:

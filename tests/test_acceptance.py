@@ -57,7 +57,7 @@ def test_criterion_01_dynamics_oracle_equivalence():
         poly = random_polygon(rng, int(rng.integers(3, 13)))
         x = extract_state(poly)
         z = float(rng.uniform(1.0, 3.0))
-        g = dynamics_matrix(poly, x, z)
+        g = dynamics_matrix(poly, z)
         L = interaction_matrices(poly.vertices, z)
         for d in range(6):
             nu = np.zeros(6)

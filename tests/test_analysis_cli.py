@@ -1,10 +1,14 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyservo import analysis
+import polyservo
 from polyservo.analysis import (
     STAT_VARIABLES,
     aggregate_sessions,
@@ -67,7 +71,7 @@ class TestAggregation:
         s = {name: 0.3 for name in STAT_VARIABLES}
         stats = aggregate_sessions([dict(s) for _ in range(8)])
         for name in STAT_VARIABLES:
-            v = stats.variables[name]
+            v = stats[name]
             assert v["std"] == 0.0
             assert v["mean"] == v["min"] == v["max"] == 0.3
 
@@ -75,9 +79,9 @@ class TestAggregation:
         vals = [0.1, 0.2, 0.7]
         sessions = [{name: v for name in STAT_VARIABLES} for v in vals]
         stats = aggregate_sessions(sessions)
-        assert stats.variables["esig"]["mean"] == pytest.approx(sum(vals) / 3)
-        assert stats.variables["esig"]["min"] == pytest.approx(0.1)
-        assert stats.variables["esig"]["max"] == pytest.approx(0.7)
+        assert stats["esig"]["mean"] == pytest.approx(sum(vals) / 3)
+        assert stats["esig"]["min"] == pytest.approx(0.1)
+        assert stats["esig"]["max"] == pytest.approx(0.7)
 
 
 class TestSvg:
@@ -208,7 +212,7 @@ class TestCliBatch:
         per = [r["sse"] for r in summary["sessions"]]
         means = {n: np.mean([s[n] for s in per]) for n in STAT_VARIABLES}
         for name in STAT_VARIABLES:
-            assert summary["stats"].variables[name]["mean"] == pytest.approx(means[name])
+            assert summary["stats"][name]["mean"] == pytest.approx(means[name])
 
     def test_session_sse_uses_scenario_window(self, tmp_path):
         # 20 steps: a 0.5 window holds 10 samples, a 0.2 window too few.
@@ -267,7 +271,8 @@ class TestCliBatch:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+        # run_batch imports the pool from concurrent.futures when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         scen_dir = tmp_path / "scen"
         scen_dir.mkdir()
         (scen_dir / "one.json").write_text(json.dumps(tiny_scenario_doc(duration=0.3)))
@@ -286,3 +291,20 @@ class TestVersionFlag:
             cli_main(["--version"])
         assert exc.value.code == 0
         assert "polyservo" in capsys.readouterr().out
+
+
+def test_import_loads_no_process_pool():
+    # Only run_batch with jobs > 1 starts workers; importing the module in a
+    # fresh interpreter (each CLI call, each batch worker) leaves
+    # multiprocessing and its socket and logging imports unloaded.
+    src = str(Path(polyservo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, polyservo.analysis; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -170,6 +170,16 @@ def _set(path, value):
         (("target", "modes"), [dict(WAVE, axis=[1.0, 0.0, 0.0])]),
         (("target", "modes"), [{"type": "rigid_drift", "velocity": [0.01, 0.0, 0.0]}]),
         (("target", "modes"), [{"type": "breathing", "amplitude": 1.5, "frequency": 0.2}]),
+        # Values that parse as numbers but break a run: a solver that never
+        # iterates or never converges, a run aborted after its first step,
+        # an angle threshold no run can meet.
+        (("ocp", "solver", "max_iters"), 0),
+        (("ocp", "solver", "max_iters"), -3),
+        (("ocp", "solver", "grad_tol"), -1.0),
+        (("ocp", "solver", "grad_tol"), 0.0),
+        (("max_recovery_steps",), -1),
+        (("convergence",), {"angle_deg": 0.0}),
+        (("convergence",), {"angle_deg": -2.0}),
     ],
 )
 def test_bad_value_raises_config_error(path, value):
@@ -215,11 +225,17 @@ def test_batch_scenarios_must_be_a_list_of_names(tmp_path):
         ("ocp", "local_clamp"),
         ("ocp", "abar_limit"),
         ("ocp", "eps0"),  # the terminal radius is always the auto-fit
+        ("depth",),  # the controller's depth is always the altimeter
+        ("convergence", "centroid_frac"),  # grading thresholds in analysis
+        ("convergence", "sigma_tol"),
+        ("convergence", "barrier_margin"),
     ],
 )
 def test_fixed_solver_constants_are_unknown_keys(path):
+    doc = tiny_scenario_doc(convergence={})
+    _get(doc, path[:-1])[path[-1]] = 1.0
     with pytest.raises(ConfigError, match=f"unknown keys.*{path[-1]}"):
-        parse_scenario(_set(path, 1.0))
+        parse_scenario(doc)
 
 
 def test_defaults_come_from_the_dataclasses():
@@ -255,6 +271,8 @@ def _cli(*args, cwd):
         ("batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "repetitions": "x"}),
         ("run", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
         ("diagnose", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
+        ("run", _set(("ocp", "solver", "max_iters"), 0)),
+        ("run", _set(("max_recovery_steps",), -1)),
     ],
 )
 def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc):

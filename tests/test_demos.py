@@ -1,8 +1,8 @@
 """The narrative demos 01-03 run to completion.
 
 They are the only non-test callers of some public paths (demo 01 is the one
-of ``dynamics_matrix(mode="paper_closed_form")``), so they run here as
-scripts, each in a fresh interpreter. Demos 04 and 05 run closed-loop
+of ``printed_dynamics_matrix``), so they run here as scripts, each in a
+fresh interpreter. Demos 04 and 05 run closed-loop
 sessions and write plots; they are left out to keep the suite fast.
 """
 

@@ -5,6 +5,12 @@
 polygons, control sequences, target flows and both input masks they must
 give the same cost, reject exactly the same candidates, and a batched
 evaluation must agree row by row with single evaluations.
+
+On the same instances, ``solve_ocp`` is held to the invariants the
+receding-horizon argument relies on, whatever the search direction: the
+solved cost never exceeds a finite warm start's cost, the returned controls
+are finite and strictly inside the input limits, and ``grad_norm`` is the
+gradient's max-norm at the returned controls.
 """
 
 import numpy as np
@@ -18,11 +24,12 @@ from polyservo import (
     OcpConfig,
     VisibilityParams,
     extract_state,
+    solve_ocp,
     total_cost,
 )
 from polyservo.barriers import RecenteringAnchor
 from polyservo.camera import UAV_MASK
-from polyservo.errors import PolyServoError
+from polyservo.errors import InfeasibleStart, PolyServoError
 from polyservo.nmpc import _OcpKernel
 from conftest import random_polygon
 
@@ -135,3 +142,24 @@ def test_batched_rows_equal_single_rows(inst, scale):
             assert abs(row - one) <= RTOL * abs(one) + ATOL
         else:
             assert np.isinf(row)
+
+
+@settings(PROPS, max_examples=100)
+@given(inst=instances(), scale=st.floats(0.01, 1.0), warm=st.booleans())
+def test_solve_ocp_invariants(inst, scale, warm):
+    poly, x0, flow, cfg, x_des, anchor, rng = inst
+    warm_start = _controls(rng, cfg, scale) if warm else None
+    try:
+        sol = solve_ocp(poly, x0, flow, cfg, x_des, Z, warm_start=warm_start, anchor=anchor)
+    except InfeasibleStart:
+        assume(False)  # drew a measured state outside the safe set
+    kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
+    start = np.zeros((cfg.n, cfg.n_inputs)) if warm_start is None else warm_start
+    warm_cost = kern.cost_one(start)
+    if np.isfinite(warm_cost):
+        assert sol.cost <= warm_cost
+    assert np.isfinite(sol.controls).all()
+    assert (np.abs(sol.controls) < cfg.masked_limits).all()
+    if np.isfinite(sol.cost):
+        grad = kern.gradient(sol.controls.ravel(), sol.cost)
+        assert sol.grad_norm == np.abs(grad).max()

@@ -29,6 +29,8 @@ from polyservo.errors import (
     StepDegeneracy,
 )
 from polyservo.nmpc import (
+    _LIPSCHITZ_RADIUS,
+    _LIPSCHITZ_SAMPLES,
     _LOCAL_CLAMP,
     _LOCAL_DAMPING,
     _LOCAL_GAIN,
@@ -289,8 +291,7 @@ class TestLocalController:
         # ||h|| <= L_h ||err|| with L_h from the damped pseudo-inverse gain.
         from polyservo.polygon import dynamics_matrix
 
-        x = extract_state(pentagon)
-        g = dynamics_matrix(pentagon, x, Z)[:, small_ocp.mask]
+        g = dynamics_matrix(pentagon, Z)[:, small_ocp.mask]
         ggt = g @ g.T + _LOCAL_DAMPING**2 * np.eye(4)
         L_h = _LOCAL_GAIN * np.linalg.norm(g.T @ np.linalg.inv(ggt), 2)
         rng = np.random.default_rng(6)
@@ -318,7 +319,7 @@ class TestLocalController:
 class TestRecedingController:
     def test_cold_start_uses_zero_warm(self, small_ocp, pentagon):
         x0 = extract_state(pentagon)
-        ctrl = RecedingHorizonController(small_ocp, x0, z=Z)
+        ctrl = RecedingHorizonController(small_ocp, x0)
         warm = ctrl.warm_start(pentagon, x0, None, Z)
         np.testing.assert_array_equal(warm, np.zeros((small_ocp.n, small_ocp.n_inputs)))
 
@@ -330,21 +331,25 @@ class TestRecedingController:
         x0 = extract_state(pentagon)
         x_des = x0 + np.array([0.1, -0.06, 0.1, 0.1])
         sol = solve_ocp(pentagon, x0, None, small_ocp, x_des, Z)
-        shifted = np.vstack([sol.controls[1:], np.zeros((1, small_ocp.n_inputs))])
-        poly1 = PolygonFeatures(sol.predicted_vertices[1], pentagon.reference_pair)
         a = anchor_for(small_ocp, x_des)
+        pred_states, pred_verts = _OcpKernel(
+            pentagon, x0, None, small_ocp, x_des, a, Z
+        ).predict(sol.controls)
+        assert np.array_equal(pred_states, sol.predicted_states)
+        shifted = np.vstack([sol.controls[1:], np.zeros((1, small_ocp.n_inputs))])
+        poly1 = PolygonFeatures(pred_verts[1], pentagon.reference_pair)
         kern = _OcpKernel(poly1, sol.predicted_states[1], None, small_ocp, x_des, a, Z)
         states, verts = kern.predict(shifted)
         n = small_ocp.n
         assert np.array_equal(states[: n - 1], sol.predicted_states[1:n])
-        assert np.array_equal(verts[: n - 1], sol.predicted_vertices[1:n])
+        assert np.array_equal(verts[: n - 1], pred_verts[1:n])
         ref_states, ref_verts = rollout(pentagon, x0, sol.controls, None, small_ocp, Z)
         np.testing.assert_allclose(sol.predicted_states, ref_states, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(sol.predicted_vertices, ref_verts, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(pred_verts, ref_verts, rtol=1e-12, atol=1e-15)
 
     def test_recovery_on_infeasible_measurement(self, small_ocp, pentagon):
         x0 = extract_state(pentagon)
-        ctrl = RecedingHorizonController(small_ocp, x0, z=Z)
+        ctrl = RecedingHorizonController(small_ocp, x0)
         bad = x0.copy()
         bad[0] = small_ocp.visibility.x_max + 0.02
         res = ctrl.step(pentagon, bad, None, Z)
@@ -357,7 +362,7 @@ class TestRecedingController:
         # horizon leaves no finite plan from a feasible start: the step
         # recovers and keeps the failed solve.
         x0 = extract_state(pentagon)
-        ctrl = RecedingHorizonController(small_ocp, x0, z=Z)
+        ctrl = RecedingHorizonController(small_ocp, x0)
         res = ctrl.step(pentagon, x0, np.array([5.0, 0.0]), Z)
         assert res.recovered
         assert res.solution.cost == np.inf and res.solution.iterations == 0
@@ -368,7 +373,7 @@ class TestRecedingController:
 
         small_ocp.mask = cam.UAV_MASK.copy()
         x0 = extract_state(pentagon)
-        ctrl = RecedingHorizonController(small_ocp, x0 + np.array([0.05, 0, 0, 0]), z=Z)
+        ctrl = RecedingHorizonController(small_ocp, x0 + np.array([0.05, 0, 0, 0]))
         res = ctrl.step(pentagon, x0, None, Z)
         assert res.nu[3] == 0.0 and res.nu[4] == 0.0
 
@@ -471,7 +476,7 @@ class TestDiagnostics:
         # stays below the geometric bound with the sampled constant.
         rng = np.random.default_rng(8)
         cfg = small_ocp
-        lf_emp = empirical_lipschitz_f(cfg, Z, [pentagon], rng, n_samples=100)
+        lf_emp = empirical_lipschitz_f(cfg, Z, [pentagon], rng)
         lf = max(lf_emp, 1.0)
         xi_bound = 2e-3
         x0 = extract_state(pentagon)
@@ -496,17 +501,16 @@ class TestDiagnostics:
         # L_f_emp samples the map that criterion 07 and the audit above step.
         cfg = dataclasses.replace(small_ocp, mask=mask.copy())
         polys = [pentagon, random_polygon(np.random.default_rng(seed), 5)]
-        radius, n_samples = 1e-3, 60
-        lf_emp = empirical_lipschitz_f(cfg, Z, polys, np.random.default_rng(seed), n_samples)
+        lf_emp = empirical_lipschitz_f(cfg, Z, polys, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         limits = cfg.limits.as_vector()
         worst = 0.0
-        for _ in range(n_samples):
+        for _ in range(_LIPSCHITZ_SAMPLES):
             poly = polys[rng.integers(len(polys))]
             n_v = poly.n_vertices
             nu = rng.uniform(-1.0, 1.0, 6) * limits * cfg.mask
             delta = rng.normal(size=2 * n_v + 4)
-            delta *= radius / np.linalg.norm(delta)
+            delta *= _LIPSCHITZ_RADIUS / np.linalg.norm(delta)
             x = np.array([*poly.vertices.mean(axis=0), np.log(area(poly)), 0.0])
             moved = PolygonFeatures(
                 poly.vertices + delta[: 2 * n_v].reshape(n_v, 2), poly.reference_pair
@@ -515,7 +519,7 @@ class TestDiagnostics:
             pa, xa = propagate_discrete(poly, x, nu, flow, cfg.dt, Z)
             pb, xb = propagate_discrete(moved, x + delta[2 * n_v :], nu, flow, cfg.dt, Z)
             dist = np.sqrt(((pa.vertices - pb.vertices) ** 2).sum() + ((xa - xb) ** 2).sum())
-            worst = max(worst, dist / radius)
+            worst = max(worst, dist / _LIPSCHITZ_RADIUS)
         assert lf_emp == pytest.approx(worst, rel=1e-12)
 
 

@@ -7,6 +7,7 @@ from polyservo import (
     area,
     area_gradient,
     dynamics_matrix,
+    printed_dynamics_matrix,
     extract_state,
     propagate_discrete,
     signed_area_sum,
@@ -160,15 +161,14 @@ class TestGradients:
 
         d_num = (rotated(h) - rotated(-h)) / (2 * h)
         assert d_num == pytest.approx(1 + abar**2, rel=1e-6)
-        g = dynamics_matrix(poly, extract_state(poly), 2.0)
+        g = dynamics_matrix(poly, 2.0)
         assert g[3, 5] == pytest.approx(-(1 + abar**2), rel=1e-12)
 
 
 class TestDynamicsMatrix:
     def test_unit_square_row1(self):
         poly = PolygonFeatures(UNIT_SQUARE)
-        x = extract_state(poly)
-        g = dynamics_matrix(poly, x, 1.0)
+        g = dynamics_matrix(poly, 1.0)
         np.testing.assert_allclose(g[0], [-1, 0, 0, 0, -1.25, 0], atol=1e-15)
 
     def test_structural_zeros_and_area_column(self):
@@ -176,7 +176,7 @@ class TestDynamicsMatrix:
         for _ in range(10):
             poly = random_polygon(rng, int(rng.integers(3, 13)))
             z = rng.uniform(0.8, 4.0)
-            g = dynamics_matrix(poly, extract_state(poly), z)
+            g = dynamics_matrix(poly, z)
             assert g[2, 0] == 0.0 and g[2, 1] == 0.0 and g[2, 5] == 0.0
             assert g[3, 0] == 0.0 and g[3, 1] == 0.0 and g[3, 2] == 0.0
             assert g[2, 2] == pytest.approx(2.0 / z, rel=1e-14)
@@ -185,7 +185,7 @@ class TestDynamicsMatrix:
         rng = np.random.default_rng(10)
         poly = random_polygon(rng, 5)
         x = extract_state(poly)
-        g = dynamics_matrix(poly, x, 2.0)
+        g = dynamics_matrix(poly, 2.0)
         assert g[3, 5] == pytest.approx(-(x[3] ** 2) - 1.0, rel=1e-12)
 
     def test_modes_compared(self):
@@ -196,8 +196,8 @@ class TestDynamicsMatrix:
         for _ in range(10):
             poly = random_polygon(rng, int(rng.integers(4, 10)))
             x = extract_state(poly)
-            gc = dynamics_matrix(poly, x, 2.0, mode="chain_rule")
-            gp = dynamics_matrix(poly, x, 2.0, mode="paper_closed_form")
+            gc = dynamics_matrix(poly, 2.0)
+            gp = printed_dynamics_matrix(poly, x, 2.0)
             np.testing.assert_array_equal(gc[:2], gp[:2])
             np.testing.assert_allclose(gc[3], gp[3], atol=1e-10)
             gaps.append(np.abs(gc[2] - gp[2]).max())

@@ -10,7 +10,6 @@ from polyservo.targets import (
     DeformableTarget,
     RigidDrift,
     TravelingWave,
-    estimate_centroid_flow,
     polygon_is_simple,
 )
 
@@ -156,6 +155,13 @@ def test_stacked_simplicity_matches_one_call_per_polygon(polys):
     assert batched.tolist() == [bool(polygon_is_simple(p)) for p in stack]
 
 
+def centroid_flow(prev, curr, L_hat, nu_hat):
+    """The flow a fresh estimator returns for two ``(centroid, time)`` samples."""
+    est = CentroidFlowEstimator()
+    est.update(*prev, L_hat, nu_hat)
+    return est.update(*curr, L_hat, nu_hat)
+
+
 class TestFlowEstimator:
     def test_cold_start_returns_zero(self):
         est = CentroidFlowEstimator()
@@ -171,14 +177,14 @@ class TestFlowEstimator:
         dt = 0.1
         s0 = np.array([0.05, -0.02])
         s1 = s0 + L @ nu * dt
-        flow = estimate_centroid_flow((s0, 0.0), (s1, dt), L, nu)
+        flow = centroid_flow((s0, 0.0), (s1, dt), L, nu)
         np.testing.assert_allclose(flow, np.zeros(2), atol=1e-12)
 
     def test_drifting_target_without_camera_motion(self):
         v = np.array([0.03, -0.01])
         s0 = np.zeros(2)
         dt = 0.1
-        flow = estimate_centroid_flow((s0, 0.0), (s0 + v * dt, dt), np.zeros((2, 6)), np.zeros(6))
+        flow = centroid_flow((s0, 0.0), (s0 + v * dt, dt), np.zeros((2, 6)), np.zeros(6))
         np.testing.assert_allclose(flow, v, atol=1e-14)
 
     def test_halving_dt_halves_discretization_error(self):
@@ -189,7 +195,7 @@ class TestFlowEstimator:
         for dt in (0.1, 0.05):
             s_prev = 0.5 * accel * (1.0 - dt) ** 2
             s_curr = 0.5 * accel * 1.0**2
-            flow = estimate_centroid_flow(
+            flow = centroid_flow(
                 (s_prev, 1.0 - dt), (s_curr, 1.0), np.zeros((2, 6)), np.zeros(6)
             )
             errs.append(np.linalg.norm(flow - accel * 1.0))

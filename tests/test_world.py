@@ -36,7 +36,6 @@ def tiny_scenario_doc(**overrides):
             "width": 640,
             "height": 480,
         },
-        "depth": "altimeter",
         "target": {
             "base_vertices": SQUARE_W.tolist(),
             "reference_pair": [1, 2],
