@@ -689,11 +689,6 @@ def _geometric_sum(L_f: float, k: int) -> float:
     return (L_f**k - 1.0) / (L_f - 1.0)
 
 
-def _cost_difference_constant(L_E: float, L_F: float, L_f: float, k: int) -> float:
-    """Optimal-cost difference constant ``L_zm`` with ``k = n - 1 - m`` steps left."""
-    return L_E * L_f**k + L_F * _geometric_sum(L_f, k)
-
-
 def prediction_error_bound(i: int, xi: float, L_f: float) -> float:
     """Accumulated prediction-error bound after ``i`` disturbed steps."""
     if i < 0:
@@ -717,14 +712,16 @@ def disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f, n):
     return float(per_m.min()), per_m
 
 
-def cost_difference_bound(m: int, e: float, cfg: OcpConfig, diag, state_norms=(), L_f=None):
+def cost_difference_bound(m: int, e: float, diag, state_norms=()):
     """Lemma-style optimal-cost difference bound and its constant.
 
-    ``state_norms`` are the closed-loop state-error norms entering the
-    stage-cost lower-bound sum. Returns ``(bound, L_zm)``.
+    The constant is ``diag.L_zm[m]``. ``state_norms`` are the closed-loop
+    state-error norms entering the stage-cost lower-bound sum. Returns
+    ``(bound, L_zm)``.
     """
-    L_f = diag.L_f if L_f is None else L_f
-    L_zm = _cost_difference_constant(diag.L_E, diag.L_F, L_f, (cfg.n - 1) - m)
+    if not 0 <= m < len(diag.L_zm):
+        raise ValueError("m must lie in [0, n)")
+    L_zm = diag.L_zm[m]
     lower_sum = diag.F_lower * float(sum(v * v for v in state_norms))
     return float(L_zm * e - lower_sum), float(L_zm)
 
@@ -759,7 +756,7 @@ def empirical_lipschitz_f(cfg: OcpConfig, z: float, polys, rng) -> float:
 
     pts = np.stack([verts[idx], verts[idx] + delta[:, : 2 * n_v].reshape(-1, n_v, 2)])
     x = np.stack([offsets[idx], offsets[idx] + delta[:, 2 * n_v :]])
-    g, L, _, _, _ = _dynamics_batch(pts, z, polys[0].reference_pair)
+    g, L = _dynamics_batch(pts, z, polys[0].reference_pair)
     pts = pts + (L @ nu[:, None, :, None])[..., 0] * cfg.dt
     x = x + (g @ nu[:, :, None])[..., 0] * cfg.dt
     worst = 0.0
@@ -849,8 +846,9 @@ def compute_diagnostics(cfg: OcpConfig, z: float, x_des, ref_polys, rng) -> Diag
     L_f_emp = empirical_lipschitz_f(cfg, z, ref_polys, rng)
     xi_max_emp, _ = disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f_emp, cfg.n)
 
+    # Optimal-cost difference constants, k = n - 1 - m steps left.
     L_zm = np.array(
-        [_cost_difference_constant(L_E, L_F, L_f, (cfg.n - 1) - m) for m in range(cfg.n)]
+        [L_E * L_f**k + L_F * _geometric_sum(L_f, k) for k in range(cfg.n - 1, -1, -1)]
     )
 
     return DiagnosticsBundle(

@@ -5,14 +5,16 @@ vertex-centroid coordinates on the normalized image plane, the log of the
 shoelace area, and the tangent of the reference angle (the direction from
 the centroid to the midpoint of two reference vertices).
 
-All public functions operate on a single polygon. The ``_batch``-suffixed
-helpers hold their arithmetic with leading batch dimensions allowed; they
-skip validation and report trouble through non-finite outputs. Besides the
-public functions here, the sampled one-step Lipschitz estimate in
-:mod:`polyservo.nmpc` calls them once with a leading copy and sample axis,
-and ``DeformableTarget.validate`` sums over a leading time axis. The
-controller's rollout is its own fused pass, checked against
-:func:`propagate_discrete`.
+The feature model is one chain rule, ``_state_rate``: the state rate is the
+state Jacobian applied to a vertex velocity, ``ds/dt = J_s (L nu + f)``.
+:func:`dynamics_matrix` applies it to ``L``, :func:`state_jacobian` to the
+identity and :func:`propagate_discrete` to ``L nu + f``.
+
+Public functions take one polygon. The private helpers allow leading batch
+axes, skip validation and report trouble through non-finite outputs; the
+Lipschitz sampler in :mod:`polyservo.nmpc` and ``DeformableTarget.validate``
+call them on stacked polygons. The controller's rollout is its own fused
+pass, checked against :func:`propagate_discrete`.
 """
 
 from __future__ import annotations
@@ -85,11 +87,8 @@ class PolygonFeatures:
 
 def _shoelace_terms(pts):
     """Per-edge determinants d_j = x_j*y_{j+1} - x_{j+1}*y_j, cyclic."""
-    x = pts[..., 0]
-    y = pts[..., 1]
-    xn = np.roll(x, -1, axis=-1)
-    yn = np.roll(y, -1, axis=-1)
-    return x * yn - xn * y
+    x, y = pts[..., 0], pts[..., 1]
+    return x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
 
 
 def _shoelace_sum(pts):
@@ -98,8 +97,7 @@ def _shoelace_sum(pts):
 
 def _area_grad_batch(pts):
     """Gradient of the shoelace area w.r.t. each vertex, shape (..., N, 2)."""
-    x = pts[..., 0]
-    y = pts[..., 1]
+    x, y = pts[..., 0], pts[..., 1]
     sign = np.sign(_shoelace_sum(pts))
     gx = np.roll(y, -1, axis=-1) - np.roll(y, 1, axis=-1)
     gy = np.roll(x, 1, axis=-1) - np.roll(x, -1, axis=-1)
@@ -133,39 +131,31 @@ def _angle_grad_batch(pts, ref):
     return np.stack([gx, gy], axis=-1)
 
 
-def _state_batch(pts, ref):
-    """Moment state (..., 4) without degeneracy checks; invalid -> non-finite."""
-    c = pts.mean(axis=-2)
-    sigma = 0.5 * np.abs(_shoelace_sum(pts))
-    e1, e2 = _angle_parts(pts, ref)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sig_bar = np.log(sigma)
-        a_bar = e2 / e1
-    return np.stack([c[..., 0], c[..., 1], sig_bar, a_bar], axis=-1)
+def _state_rate(pts, ref, vel):
+    """Chain rule: vertex velocities (..., N, 2, K) to state rates (..., 4, K).
 
-
-def _dynamics_batch(pts, z, ref):
-    """Chain-rule dynamics matrix g, shape (..., 4, 6), plus reusable terms.
-
-    Returns ``(g, L, sigma, agrad, angrad)`` so callers that also need the
-    per-vertex interaction matrices or the state Jacobian rows do not
-    recompute them.
+    Rows are the centroid average, the area gradient over sigma and the
+    angle gradient, each contracted with ``vel``.
     """
-    L = interaction_matrices(pts, z)
-    rows12 = L.mean(axis=-3)
     sigma = 0.5 * np.abs(_shoelace_sum(pts))
     agrad = _area_grad_batch(pts)
     angrad = _angle_grad_batch(pts, ref)
     with np.errstate(divide="ignore", invalid="ignore"):
-        row3 = np.einsum("...nc,...ncj->...j", agrad, L) / sigma[..., None]
-    row4 = np.einsum("...nc,...ncj->...j", angrad, L)
-    # Analytically null entries; enforced exactly.
-    row3[..., [0, 1, 5]] = 0.0
-    row4[..., [0, 1, 2]] = 0.0
-    g = np.concatenate(
-        [rows12, row3[..., None, :], row4[..., None, :]], axis=-2
+        row3 = np.einsum("...nc,...ncj->...j", agrad, vel) / sigma[..., None]
+    row4 = np.einsum("...nc,...ncj->...j", angrad, vel)
+    return np.concatenate(
+        [vel.mean(axis=-3), row3[..., None, :], row4[..., None, :]], axis=-2
     )
-    return g, L, sigma, agrad, angrad
+
+
+def _dynamics_batch(pts, z, ref):
+    """Chain-rule dynamics matrix g (..., 4, 6) and interaction matrices L."""
+    L = interaction_matrices(pts, z)
+    g = _state_rate(pts, ref, L)
+    # Analytically null entries; enforced exactly.
+    g[..., 2, [0, 1, 5]] = 0.0
+    g[..., 3, [0, 1, 2]] = 0.0
+    return g, L
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +173,15 @@ def area(poly: PolygonFeatures) -> float:
     return 0.5 * abs(signed_area_sum(poly))
 
 
+def _check_nondegenerate(poly: PolygonFeatures):
+    sigma = area(poly)
+    if sigma <= EPS_AREA:
+        raise DegenerateArea(f"polygon area {sigma:.3e} at or below guard")
+    e1, _ = _angle_parts(poly.vertices, poly.reference_pair)
+    if abs(e1) <= EPS_ANGLE:
+        raise AngleSingularity(f"angle denominator {e1:.3e} at or below guard")
+
+
 def extract_state(poly: PolygonFeatures):
     """Moment state [sx, sy, log(sigma), tan(angle)] of the polygon.
 
@@ -190,13 +189,10 @@ def extract_state(poly: PolygonFeatures):
     :class:`AngleSingularity` when the reference direction is vertical in
     the tangent parametrization.
     """
-    sigma = area(poly)
-    if sigma <= EPS_AREA:
-        raise DegenerateArea(f"polygon area {sigma:.3e} at or below guard")
-    e1, _ = _angle_parts(poly.vertices, poly.reference_pair)
-    if abs(e1) <= EPS_ANGLE:
-        raise AngleSingularity(f"angle denominator {e1:.3e} at or below guard")
-    return _state_batch(poly.vertices, poly.reference_pair)
+    _check_nondegenerate(poly)
+    c = poly.vertices.mean(axis=0)
+    e1, e2 = _angle_parts(poly.vertices, poly.reference_pair)
+    return np.array([c[0], c[1], np.log(area(poly)), e2 / e1])
 
 
 def area_gradient(poly: PolygonFeatures):
@@ -221,16 +217,7 @@ def dynamics_matrix(poly: PolygonFeatures, z: float):
     (chain rule); this is the ground truth used for control.
     """
     _check_nondegenerate(poly)
-    g, _, _, _, _ = _dynamics_batch(poly.vertices, z, poly.reference_pair)
-    return g
-
-
-def _check_nondegenerate(poly: PolygonFeatures):
-    if area(poly) <= EPS_AREA:
-        raise DegenerateArea("dynamics undefined for degenerate polygon")
-    e1, _ = _angle_parts(poly.vertices, poly.reference_pair)
-    if abs(e1) <= EPS_ANGLE:
-        raise AngleSingularity("dynamics undefined near singular reference angle")
+    return _dynamics_batch(poly.vertices, z, poly.reference_pair)[0]
 
 
 def printed_dynamics_matrix(poly: PolygonFeatures, x, z: float):
@@ -245,8 +232,7 @@ def printed_dynamics_matrix(poly: PolygonFeatures, x, z: float):
         raise ValueError("depth must be positive")
     _check_nondegenerate(poly)
     pts = poly.vertices
-    xs = pts[:, 0]
-    ys = pts[:, 1]
+    xs, ys = pts[:, 0], pts[:, 1]
     n = poly.n_vertices
     d = _shoelace_terms(pts)
     _, _, _, a_bar = np.asarray(x, dtype=float)
@@ -277,28 +263,19 @@ def printed_dynamics_matrix(poly: PolygonFeatures, x, z: float):
 
 
 def state_jacobian(poly: PolygonFeatures):
-    """Jacobian of the moment state w.r.t. the flattened vertices, (4, 2N).
-
-    Rows 1-2 are the constant centroid averaging blocks; rows 3-4 are the
-    log-area and angle gradients.
-    """
+    """State Jacobian w.r.t. the flattened vertices, (4, 2N): the chain rule of the identity."""
     _check_nondegenerate(poly)
-    n = poly.n_vertices
-    jac = np.zeros((4, 2 * n))
-    jac[0, 0::2] = 1.0 / n
-    jac[1, 1::2] = 1.0 / n
-    jac[2] = (_area_grad_batch(poly.vertices) / area(poly)).ravel()
-    jac[3] = _angle_grad_batch(poly.vertices, poly.reference_pair).ravel()
-    return jac
+    eye = np.eye(poly.vertices.size).reshape(*poly.vertices.shape, -1)
+    return _state_rate(poly.vertices, poly.reference_pair, eye)
 
 
 def propagate_discrete(poly: PolygonFeatures, x, nu, target_flow, dt: float, z: float):
     """One Euler step of the coupled vertex/state model at depth ``z``.
 
     Vertices advance by their interaction-matrix flow plus the target flow;
-    the moment state advances by its own input map plus the state-Jacobian
-    coupling to the same target flow. Returns ``(poly', x')``. Raises
-    :class:`StepDegeneracy` if the stepped polygon collapses.
+    the moment state advances by the chain rule of that same velocity.
+    Returns ``(poly', x')``. Raises :class:`StepDegeneracy` if the stepped
+    polygon collapses.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -309,14 +286,10 @@ def propagate_discrete(poly: PolygonFeatures, x, nu, target_flow, dt: float, z: 
         raise ValueError("inputs must be finite")
     _check_nondegenerate(poly)
 
-    g, L, sigma, agrad, angrad = _dynamics_batch(poly.vertices, z, poly.reference_pair)
-    new_pts = poly.vertices + (L @ nu) * dt + flow * dt
-
-    coupling = np.empty(4)
-    coupling[:2] = flow.mean(axis=0)
-    coupling[2] = float((agrad * flow).sum()) / sigma
-    coupling[3] = float((angrad * flow).sum())
-    new_x = x + (g @ nu) * dt + coupling * dt
+    L = interaction_matrices(poly.vertices, z)
+    vel = L @ nu + flow
+    new_pts = poly.vertices + vel * dt
+    new_x = x + _state_rate(poly.vertices, poly.reference_pair, vel[..., None])[:, 0] * dt
 
     if 0.5 * abs(_shoelace_sum(new_pts)) <= EPS_AREA:
         raise StepDegeneracy("propagated polygon is degenerate")

@@ -427,11 +427,13 @@ class TestDiagnostics:
         diag = compute_diagnostics(
             small_ocp, Z, x_des, ref_polys=[pentagon], rng=np.random.default_rng(7)
         )
-        bound, lzm = cost_difference_bound(small_ocp.n - 1, e=0.7, cfg=small_ocp, diag=diag)
+        bound, lzm = cost_difference_bound(small_ocp.n - 1, e=0.7, diag=diag)
         assert lzm == pytest.approx(diag.L_E)
-        bound0, _ = cost_difference_bound(1, e=0.0, cfg=small_ocp, diag=diag, state_norms=(0.5, 0.2))
+        bound0, _ = cost_difference_bound(1, e=0.0, diag=diag, state_norms=(0.5, 0.2))
         assert bound0 == pytest.approx(-diag.F_lower * (0.25 + 0.04))
         assert bound0 <= 0.0
+        with pytest.raises(ValueError):
+            cost_difference_bound(small_ocp.n, e=0.7, diag=diag)
 
     def test_bundle_fields_and_terminal_set(self, small_ocp, pentagon):
         x_des = extract_state(pentagon)

@@ -228,6 +228,33 @@ class TestStateJacobian:
                 err = np.linalg.norm(jac[row] - fd) / max(np.linalg.norm(fd), 1e-12)
                 assert err < 1e-8
 
+    def test_chain_rule_identities(self):
+        # The input map and the Euler state increment are the state Jacobian
+        # applied to a vertex velocity: L for the map, L nu + f for the step.
+        rng = np.random.default_rng(18)
+        free = np.ones((4, 6), dtype=bool)
+        free[2, [0, 1, 5]] = False
+        free[3, [0, 1, 2]] = False
+        for _ in range(25):
+            poly = random_polygon(rng, int(rng.integers(3, 13)))
+            n = poly.n_vertices
+            z = rng.uniform(0.8, 4.0)
+            jac = state_jacobian(poly)
+            L = interaction_matrices(poly.vertices, z)
+            chain = jac @ L.reshape(2 * n, 6)
+            g = dynamics_matrix(poly, z)
+            scale = np.abs(chain).max()
+            assert np.abs(g - chain)[free].max() <= 1e-12 * scale
+            assert np.abs(chain[~free]).max() <= 1e-12 * scale
+
+            nu = rng.uniform(-1.0, 1.0, 6)
+            flow = rng.normal(size=(n, 2))
+            dt = 0.05
+            # A zero start state makes the returned state the bare increment.
+            _, dx = propagate_discrete(poly, np.zeros(4), nu, flow, dt, z)
+            expect = jac @ (L @ nu + flow).ravel() * dt
+            assert np.abs(dx - expect).max() <= 1e-12 * np.abs(expect).max()
+
     def test_zero_flow_coupling_vanishes(self):
         rng = np.random.default_rng(14)
         poly = random_polygon(rng, 5)
@@ -272,6 +299,23 @@ class TestPropagate:
                 if errs[0] > 1e-13:
                     worst = min(worst, np.log2(errs[0] / errs[1]))
         assert worst >= 1.9
+
+    def test_flow_coupling_second_order(self):
+        # Under a target flow alone the model state must match the state
+        # extracted from the stepped vertices to second order in dt.
+        rng = np.random.default_rng(17)
+        worst = np.inf
+        for _ in range(50):
+            poly = random_polygon(rng, int(rng.integers(3, 13)))
+            x = extract_state(poly)
+            flow = rng.normal(size=(poly.n_vertices, 2))
+            errs = []
+            for dt in (1e-3, 5e-4):
+                p2, x2 = propagate_discrete(poly, x, np.zeros(6), flow, dt, 2.0)
+                errs.append(np.linalg.norm(extract_state(p2) - x2))
+            if errs[0] > 1e-13:
+                worst = min(worst, np.log2(errs[0] / errs[1]))
+        assert 1.9 <= worst < np.inf
 
     def test_step_degeneracy_raised(self):
         flatish = PolygonFeatures(np.array([[0.0, 0.0], [1.0, 1e-4], [2.0, 0.0], [1.0, -1e-4]]))
