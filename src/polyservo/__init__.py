@@ -47,13 +47,11 @@ from .nmpc import (
 from .polygon import (
     PolygonFeatures,
     angle_gradient,
-    area,
     area_gradient,
     dynamics_matrix,
     extract_state,
     printed_dynamics_matrix,
     propagate_discrete,
-    signed_area_sum,
     state_jacobian,
 )
 from .targets import (

@@ -5,9 +5,8 @@ The two constraint functions map distances-to-constraint into [0, 1]: value
 are the interior barriers; recentering subtracts the value and linearization
 at the setpoint so the setpoint itself incurs zero cost.
 
-Because the closed forms of the barrier gradients are unpleasant and the
-flat branch makes them zero in the usual operating region, gradients are
-taken by central finite differences (step 1e-6) when building anchors.
+The slope at the setpoint is exact: ``d(1/l)/dx = -phi'(d)/l^2 * dd/dx``,
+with ``phi'`` the margin curve's closed-form derivative.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ __all__ = [
 
 # Guard below which a constraint function may not be inverted.
 EPS_L = 1e-8
-
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,6 +116,14 @@ def _margin_curve(d, margin):
     return 1.0 - np.exp(-(w * w))
 
 
+def _margin_slope(d, margin):
+    """Exact derivative of :func:`_margin_curve` at a scalar ``d``, 0 off the band."""
+    if not 0.0 < d < margin:
+        return 0.0
+    w = d / (d - margin)
+    return -2.0 * margin * w * np.exp(-(w * w)) / (d - margin) ** 2
+
+
 def fov_distance(sbar, p: VisibilityParams):
     """Signed distance from a centroid to the FoV rectangle boundary.
 
@@ -164,8 +169,8 @@ def _L_values(x, vis: VisibilityParams, bounds: AreaBounds):
 class RecenteringAnchor:
     """Barrier value and gradient at the setpoint, per constraint.
 
-    The setpoint must be strictly inside the safe set. Gradients are central
-    finite differences of the reciprocal barriers w.r.t. the state.
+    The setpoint must be strictly inside the safe set. Gradients are exact:
+    ``-phi'(d)/l^2`` times the slope of the active FoV edge or area bound.
     """
 
     def __init__(self, x_des, vis: VisibilityParams, bounds: AreaBounds):
@@ -179,16 +184,14 @@ class RecenteringAnchor:
         self.vis = vis
         self.bounds = bounds
         self.b_des = np.array([1.0 / l1, 1.0 / l2])
+        sx, sy, sigma_bar, _ = x_des
+        clear = [sx - vis.x_min, vis.x_max - sx, sy - vis.y_min, vis.y_max - sy]
+        sigma = np.exp(sigma_bar)
+        gap = [sigma - bounds.sigma_min, bounds.sigma_max - sigma]
+        i1, i2 = int(np.argmin(clear)), int(np.argmin(gap))
         self.grad_b_des = np.zeros((2, 4))
-        for j in (1, 2):
-            for i in range(4):
-                xp = x_des.copy()
-                xm = x_des.copy()
-                xp[i] += _FD_STEP
-                xm[i] -= _FD_STEP
-                bp = 1.0 / _L_values(xp, vis, bounds)[j - 1]
-                bm = 1.0 / _L_values(xm, vis, bounds)[j - 1]
-                self.grad_b_des[j - 1, i] = (bp - bm) / (2.0 * _FD_STEP)
+        self.grad_b_des[0, i1 // 2] = (-1) ** i1 * -_margin_slope(clear[i1], vis.gamma) / l1**2
+        self.grad_b_des[1, 2] = (-1) ** i2 * -_margin_slope(gap[i2], bounds.delta) / l2**2 * sigma
 
 
 def recentered_barrier(x, j: int, anchor: RecenteringAnchor) -> float:

@@ -10,6 +10,9 @@ state Jacobian applied to a vertex velocity, ``ds/dt = J_s (L nu + f)``.
 :func:`dynamics_matrix` applies it to ``L``, :func:`state_jacobian` to the
 identity and :func:`propagate_discrete` to ``L nu + f``.
 
+Every public function runs the one degeneracy guard, ``_guard``, so all of
+them reject the same polygons with the same typed errors.
+
 Public functions take one polygon. The private helpers allow leading batch
 axes, skip validation and report trouble through non-finite outputs; the
 Lipschitz sampler in :mod:`polyservo.nmpc` and ``DeformableTarget.validate``
@@ -30,8 +33,6 @@ __all__ = [
     "EPS_AREA",
     "EPS_ANGLE",
     "PolygonFeatures",
-    "signed_area_sum",
-    "area",
     "extract_state",
     "area_gradient",
     "angle_gradient",
@@ -163,23 +164,16 @@ def _dynamics_batch(pts, z, ref):
 # ---------------------------------------------------------------------------
 
 
-def signed_area_sum(poly: PolygonFeatures) -> float:
-    """Cyclic sum of the shoelace determinants (twice the signed area)."""
-    return float(_shoelace_sum(poly.vertices))
-
-
-def area(poly: PolygonFeatures) -> float:
-    """Polygon area sigma = |signed_area_sum| / 2."""
-    return 0.5 * abs(signed_area_sum(poly))
-
-
-def _check_nondegenerate(poly: PolygonFeatures):
-    sigma = area(poly)
+def _guard(pts, ref, error=None):
+    """``(sigma, e1, e2)`` of one polygon, or :class:`DegenerateArea` /
+    :class:`AngleSingularity` (``error`` for both when given) at the guards."""
+    sigma = 0.5 * abs(float(_shoelace_sum(pts)))
     if sigma <= EPS_AREA:
-        raise DegenerateArea(f"polygon area {sigma:.3e} at or below guard")
-    e1, _ = _angle_parts(poly.vertices, poly.reference_pair)
+        raise (error or DegenerateArea)(f"polygon area {sigma:.3e} at or below guard")
+    e1, e2 = _angle_parts(pts, ref)
     if abs(e1) <= EPS_ANGLE:
-        raise AngleSingularity(f"angle denominator {e1:.3e} at or below guard")
+        raise (error or AngleSingularity)(f"angle denominator {e1:.3e} at or below guard")
+    return sigma, e1, e2
 
 
 def extract_state(poly: PolygonFeatures):
@@ -189,24 +183,20 @@ def extract_state(poly: PolygonFeatures):
     :class:`AngleSingularity` when the reference direction is vertical in
     the tangent parametrization.
     """
-    _check_nondegenerate(poly)
+    sigma, e1, e2 = _guard(poly.vertices, poly.reference_pair)
     c = poly.vertices.mean(axis=0)
-    e1, e2 = _angle_parts(poly.vertices, poly.reference_pair)
-    return np.array([c[0], c[1], np.log(area(poly)), e2 / e1])
+    return np.array([c[0], c[1], np.log(sigma), e2 / e1])
 
 
 def area_gradient(poly: PolygonFeatures):
     """Per-vertex gradient of the area sigma, shape (N, 2)."""
-    if abs(signed_area_sum(poly)) <= 2.0 * EPS_AREA:
-        raise DegenerateArea("area gradient undefined for degenerate polygon")
+    _guard(poly.vertices, poly.reference_pair)
     return _area_grad_batch(poly.vertices)
 
 
 def angle_gradient(poly: PolygonFeatures):
     """Per-vertex gradient of the angle tangent, shape (N, 2)."""
-    e1, _ = _angle_parts(poly.vertices, poly.reference_pair)
-    if abs(e1) <= EPS_ANGLE:
-        raise AngleSingularity("angle gradient undefined near singular reference")
+    _guard(poly.vertices, poly.reference_pair)
     return _angle_grad_batch(poly.vertices, poly.reference_pair)
 
 
@@ -216,7 +206,7 @@ def dynamics_matrix(poly: PolygonFeatures, z: float):
     Every entry is derived from the vertices through the analytic gradients
     (chain rule); this is the ground truth used for control.
     """
-    _check_nondegenerate(poly)
+    _guard(poly.vertices, poly.reference_pair)
     return _dynamics_batch(poly.vertices, z, poly.reference_pair)[0]
 
 
@@ -228,9 +218,7 @@ def printed_dynamics_matrix(poly: PolygonFeatures, x, z: float):
     state from ``x`` rather than the vertices. It is compared with the
     chain-rule map, never used for control.
     """
-    if z <= 0:
-        raise ValueError("depth must be positive")
-    _check_nondegenerate(poly)
+    _guard(poly.vertices, poly.reference_pair)
     pts = poly.vertices
     xs, ys = pts[:, 0], pts[:, 1]
     n = poly.n_vertices
@@ -264,7 +252,7 @@ def printed_dynamics_matrix(poly: PolygonFeatures, x, z: float):
 
 def state_jacobian(poly: PolygonFeatures):
     """State Jacobian w.r.t. the flattened vertices, (4, 2N): the chain rule of the identity."""
-    _check_nondegenerate(poly)
+    _guard(poly.vertices, poly.reference_pair)
     eye = np.eye(poly.vertices.size).reshape(*poly.vertices.shape, -1)
     return _state_rate(poly.vertices, poly.reference_pair, eye)
 
@@ -284,16 +272,12 @@ def propagate_discrete(poly: PolygonFeatures, x, nu, target_flow, dt: float, z: 
     flow = np.asarray(target_flow, dtype=float).reshape(poly.n_vertices, 2)
     if not (np.isfinite(x).all() and np.isfinite(nu).all() and np.isfinite(flow).all()):
         raise ValueError("inputs must be finite")
-    _check_nondegenerate(poly)
+    _guard(poly.vertices, poly.reference_pair)
 
     L = interaction_matrices(poly.vertices, z)
     vel = L @ nu + flow
     new_pts = poly.vertices + vel * dt
     new_x = x + _state_rate(poly.vertices, poly.reference_pair, vel[..., None])[:, 0] * dt
 
-    if 0.5 * abs(_shoelace_sum(new_pts)) <= EPS_AREA:
-        raise StepDegeneracy("propagated polygon is degenerate")
-    e1, _ = _angle_parts(new_pts, poly.reference_pair)
-    if abs(e1) <= EPS_ANGLE:
-        raise StepDegeneracy("propagated polygon has singular reference angle")
+    _guard(new_pts, poly.reference_pair, StepDegeneracy)
     return PolygonFeatures(new_pts, poly.reference_pair), new_x

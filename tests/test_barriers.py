@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from polyservo.barriers import (
     EPS_L,
@@ -153,6 +155,69 @@ class TestRecenteredBarrier:
         direction = np.array([vis.x_max, 0.0, 0.0, 0.0])
         vals = [barrier_Bx(x_des + lam * direction, anchor) for lam in np.linspace(0, 0.98, 25)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# Setpoints are drawn as fractions of the FoV rectangle and the area range;
+# the vis and bounds fixtures are immutable, so sharing them is safe.
+SLOPE_PROPS = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much],
+)
+_fractions = st.tuples(*[st.floats(0.0, 1.0)] * 4)
+
+
+def _setpoint(u, x_lim, y_lim, sigma_lim):
+    """State whose centroid and area sit at fractions ``u`` of the given ranges."""
+    (x0, x1), (y0, y1), (s0, s1) = x_lim, y_lim, sigma_lim
+    return np.array(
+        [x0 + u[0] * (x1 - x0), y0 + u[1] * (y1 - y0), np.log(s0 + u[2] * (s1 - s0)), u[3]]
+    )
+
+
+def _l(x, vis, bounds):
+    return np.array([constraint_L1(x[:2], vis), constraint_L2(x[2], bounds)])
+
+
+class TestAnchorSlope:
+    @SLOPE_PROPS
+    @given(u=_fractions)
+    def test_matches_central_differences(self, vis, bounds, u):
+        x_des = _setpoint(
+            u, (vis.x_min, vis.x_max), (vis.y_min, vis.y_max), (bounds.sigma_min, bounds.sigma_max)
+        )
+        l = _l(x_des, vis, bounds)
+        assume(l.min() >= 1e-3)
+        # 1/l1 has a kink where two FoV clearances tie; no slope to compare there.
+        sx, sy = x_des[:2]
+        clear = np.sort([sx - vis.x_min, vis.x_max - sx, sy - vis.y_min, vis.y_max - sy])
+        assume(clear[1] - clear[0] > 1e-4)
+        anchor = RecenteringAnchor(x_des, vis, bounds)
+        h = 1e-6
+        fd = np.zeros((2, 4))
+        for i in range(4):
+            step = np.zeros(4)
+            step[i] = h
+            fd[:, i] = (
+                1.0 / _l(x_des + step, vis, bounds) - 1.0 / _l(x_des - step, vis, bounds)
+            ) / (2 * h)
+        # Central differences of 1/l carry a roundoff of about eps / (h * l).
+        tol = 1e-6 * np.abs(fd) + 1e-9 / l[:, None]
+        assert (np.abs(anchor.grad_b_des - fd) <= tol).all()
+
+    @SLOPE_PROPS
+    @given(u=_fractions)
+    def test_zero_beyond_margins(self, vis, bounds, u):
+        x_des = _setpoint(
+            u,
+            (vis.x_min + vis.gamma, vis.x_max - vis.gamma),
+            (vis.y_min + vis.gamma, vis.y_max - vis.gamma),
+            (bounds.sigma_min + bounds.delta, bounds.sigma_max - bounds.delta),
+        )
+        anchor = RecenteringAnchor(x_des, vis, bounds)
+        np.testing.assert_array_equal(anchor.b_des, [1.0, 1.0])
+        assert (anchor.grad_b_des == 0.0).all()
 
 
 class TestInputBarrier:

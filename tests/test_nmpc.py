@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from polyservo import (
     PolygonFeatures,
     RecedingHorizonController,
-    area,
     extract_state,
     local_controller_h,
     propagate_discrete,
@@ -44,6 +43,7 @@ from polyservo.nmpc import (
     lipschitz_Lf,
     prediction_error_bound,
 )
+from polyservo.polygon import _shoelace_sum
 from conftest import random_polygon
 
 Z = 2.0
@@ -513,7 +513,8 @@ class TestDiagnostics:
             nu = rng.uniform(-1.0, 1.0, 6) * limits * cfg.mask
             delta = rng.normal(size=2 * n_v + 4)
             delta *= _LIPSCHITZ_RADIUS / np.linalg.norm(delta)
-            x = np.array([*poly.vertices.mean(axis=0), np.log(area(poly)), 0.0])
+            log_area = np.log(0.5 * abs(_shoelace_sum(poly.vertices)))
+            x = np.array([*poly.vertices.mean(axis=0), log_area, 0.0])
             moved = PolygonFeatures(
                 poly.vertices + delta[: 2 * n_v].reshape(n_v, 2), poly.reference_pair
             )

@@ -4,21 +4,25 @@ import pytest
 from polyservo import (
     PolygonFeatures,
     angle_gradient,
-    area,
     area_gradient,
     dynamics_matrix,
     printed_dynamics_matrix,
     extract_state,
     propagate_discrete,
-    signed_area_sum,
     state_jacobian,
 )
 from polyservo.camera import interaction_matrices
+from polyservo.polygon import _shoelace_sum
 from polyservo.errors import AngleSingularity, DegenerateArea, StepDegeneracy
 from conftest import central_diff_vertices, random_polygon
 
 UNIT_SQUARE = np.array([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def area(poly):
+    """The area sigma as the state reports it, exp of its log-area entry."""
+    return np.exp(extract_state(poly)[2])
 
 
 class TestCentroidArea:
@@ -39,24 +43,24 @@ class TestCentroidArea:
         )
 
     def test_ccw_square_area_sum(self):
-        assert signed_area_sum(PolygonFeatures(UNIT_SQUARE)) == pytest.approx(2.0)
+        assert _shoelace_sum(UNIT_SQUARE) == pytest.approx(2.0)
         assert area(PolygonFeatures(UNIT_SQUARE)) == pytest.approx(1.0)
 
     def test_reversal_flips_sign(self):
-        fwd = signed_area_sum(PolygonFeatures(UNIT_SQUARE))
-        rev = signed_area_sum(PolygonFeatures(UNIT_SQUARE[::-1]))
+        fwd = _shoelace_sum(UNIT_SQUARE)
+        rev = _shoelace_sum(UNIT_SQUARE[::-1])
         assert fwd == pytest.approx(-rev)
 
     def test_triangle_area_sum(self):
-        assert signed_area_sum(PolygonFeatures(TRIANGLE)) == pytest.approx(1.0)
+        assert _shoelace_sum(TRIANGLE) == pytest.approx(1.0)
         assert area(PolygonFeatures(TRIANGLE)) == pytest.approx(0.5)
 
     def test_cyclic_rotation_invariance(self):
         rng = np.random.default_rng(1)
         poly = random_polygon(rng, 8)
         for k in range(1, 8):
-            rolled = PolygonFeatures(np.roll(poly.vertices, k, axis=0))
-            assert signed_area_sum(rolled) == pytest.approx(signed_area_sum(poly), rel=1e-12)
+            rolled = np.roll(poly.vertices, k, axis=0)
+            assert _shoelace_sum(rolled) == pytest.approx(_shoelace_sum(poly.vertices), rel=1e-12)
 
     def test_scaling_law(self):
         rng = np.random.default_rng(2)
@@ -112,7 +116,7 @@ class TestGradients:
             poly = random_polygon(rng, int(rng.integers(3, 13)))
             grad = area_gradient(poly)
             fd = central_diff_vertices(
-                lambda p: 0.5 * abs(signed_area_sum(PolygonFeatures(p))), poly.vertices
+                lambda p: 0.5 * abs(_shoelace_sum(p)), poly.vertices
             )
             err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
             assert err < 1e-8
@@ -325,3 +329,41 @@ class TestPropagate:
         flow = -flatish.vertices * 1e4
         with pytest.raises(StepDegeneracy):
             propagate_discrete(flatish, x, nu, flow, 1e-4, 2.0)
+
+
+# Every public entry point on one polygon, the step at zero input and flow.
+ENTRY_POINTS = {
+    "extract_state": extract_state,
+    "dynamics_matrix": lambda p: dynamics_matrix(p, 2.0),
+    "printed_dynamics_matrix": lambda p: printed_dynamics_matrix(p, np.zeros(4), 2.0),
+    "state_jacobian": state_jacobian,
+    "area_gradient": area_gradient,
+    "angle_gradient": angle_gradient,
+    "propagate_discrete": lambda p: propagate_discrete(
+        p, np.zeros(4), np.zeros(6), np.zeros((p.n_vertices, 2)), 0.1, 2.0
+    ),
+}
+# Area 1.5e-10 with a sound reference angle; a sound area whose reference
+# midpoint sits straight above the centroid.
+FLAT = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1e-10], [0.0, 1e-10]])
+VERTICAL_REF = np.array([[0.4, 0.5], [-0.4, 0.5], [-0.4, -0.5], [0.4, -0.5]])
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "pts, error",
+        [(FLAT, DegenerateArea), (VERTICAL_REF, AngleSingularity)],
+        ids=["flat", "vertical_reference"],
+    )
+    def test_entry_point_rejects(self, entry, pts, error):
+        with pytest.raises(error):
+            ENTRY_POINTS[entry](PolygonFeatures(pts))
+
+    def test_post_step_reference_angle(self):
+        # The reference pair shears left until its midpoint sits above the
+        # centroid; the area-collapse case is test_step_degeneracy_raised.
+        poly = PolygonFeatures(VERTICAL_REF + [[0.2, 0.0], [0.2, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        flow = [[-2.0, 0.0], [-2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(StepDegeneracy):
+            propagate_discrete(poly, extract_state(poly), np.zeros(6), flow, 0.1, 2.0)
