@@ -17,6 +17,7 @@ __all__ = [
     "convergence_ok",
     "aggregate_sessions",
     "run_batch",
+    "run_session",
     "write_run_outputs",
 ]
 
@@ -141,25 +142,35 @@ def write_run_outputs(log: SimLog, cfg: ScenarioConfig, out_dir, plots: bool = T
     return f"{base}.csv"
 
 
+def run_session(cfg: ScenarioConfig, out_dir, plots: bool = True) -> dict:
+    """Run a scenario, write its outputs and grade it: ``{csv, converged, aborted, sse}``.
+
+    ``out_dir`` is made first, so an unusable one fails before the run.
+    ``sse`` is ``None`` when the run is too short for its window.
+    """
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    log = run_scenario(cfg)
+    try:
+        sse = steady_state_error(log, cfg.convergence.window)
+    except ShortRun:
+        sse = None
+    return {
+        "csv": write_run_outputs(log, cfg, out_dir, plots=plots),
+        "converged": convergence_ok(log, cfg),
+        "aborted": log.aborted,
+        "sse": sse,
+    }
+
+
 def _run_session(args):
     scenario_path, session_name, seed_offset, out_dir = args
     cfg = load_scenario(scenario_path, seed_offset=seed_offset)
     cfg.name = session_name
-    result = dict(
-        session=session_name, csv=None, converged=False, aborted=None, sse=None, failed=None
-    )
     try:
-        log = run_scenario(cfg)
+        result = dict(run_session(cfg, out_dir, plots=False), failed=None)
     except (PolyServoError, ValueError) as exc:
-        return dict(result, failed=str(exc))
-    result["csv"] = str(write_run_outputs(log, cfg, out_dir, plots=False))
-    result["converged"] = convergence_ok(log, cfg)
-    result["aborted"] = log.aborted
-    try:
-        result["sse"] = steady_state_error(log, cfg.convergence.window)
-    except ShortRun:
-        pass
-    return result
+        result = dict(csv=None, converged=False, aborted=None, sse=None, failed=str(exc))
+    return dict(session=session_name, **result)
 
 
 def run_batch(spec: BatchSpec, out_dir, jobs: int = 1):

@@ -1,13 +1,15 @@
 """Command-line front end: run scenarios, batches, and print diagnostics.
 
-Exit codes: every command returns 1 on configuration errors. ``run``
-returns 0 when the scenario converged and 2 when it aborted or missed its
-thresholds. ``batch`` returns 0 when at least 90% of sessions converged
-and none failed to run; a failed session's reason is printed.
-``diagnose`` and ``run`` return 2 when the opening scene admits no diagnostics,
-say a setpoint outside the safe set or a target off the image. The output
-directory defaults to ``./out`` and can be overridden by ``--out`` or the
-``POLYSERVO_OUT`` environment variable.
+``main`` maps outcomes to one exit-code table for every command:
+
+- 0: ``run`` converged; ``batch`` had at least 90% of its sessions
+  converge and none fail; ``diagnose`` printed its bundle.
+- 1: a configuration error, an invalid scenario ``name`` or an unusable
+  output directory (``config error: ...``).
+- 2: an aborted, missed or failed run or batch (``<command> failed: ...``
+  when it raised), and ``diagnose`` when the scene admits no diagnostics.
+
+The output directory is ``--out``, else ``$POLYSERVO_OUT``, else ``./out``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import convergence_ok, run_batch, steady_state_error, write_run_outputs
+from .analysis import run_batch, run_session
 from .config import load_batch, load_scenario
-from .errors import ConfigError, PolyServoError, ShortRun
-from .world import opening_scene, run_scenario
+from .errors import ConfigError, PolyServoError
+from .world import opening_scene
 
 
 def _out_dir(args):
@@ -33,43 +35,25 @@ def _out_dir(args):
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_scenario(args.config, seed_offset=args.seed or 0)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        log = run_scenario(cfg)
-    except (PolyServoError, ValueError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 2
-    csv_path = write_run_outputs(log, cfg, _out_dir(args), plots=not args.no_plots)
-    if log.aborted:
-        print(f"aborted: {log.aborted}", file=sys.stderr)
-        print(f"wrote {csv_path}")
-        return 2
-    try:
-        sse = steady_state_error(log, cfg.convergence.window)
+    cfg = load_scenario(args.config, seed_offset=args.seed or 0)
+    res = run_session(cfg, _out_dir(args), plots=not args.no_plots)
+    sse = res["sse"]
+    if res["aborted"]:
+        print(f"aborted: {res['aborted']}", file=sys.stderr)
+    elif sse is not None:
         print(
             "steady-state |err|: "
             f"ex={sse['ex_px']:.2f}px ey={sse['ey_px']:.2f}px "
             f"esig={sse['esig']:.4f} eang={sse['eang_deg']:.3f}deg"
         )
-    except ShortRun:
-        pass
-    ok = convergence_ok(log, cfg)
-    print(f"wrote {csv_path}")
-    print("converged" if ok else "did not converge")
-    return 0 if ok else 2
+    print(f"wrote {res['csv']}")
+    if not res["aborted"]:
+        print("converged" if res["converged"] else "did not converge")
+    return 0 if res["converged"] else 2
 
 
 def _cmd_batch(args) -> int:
-    try:
-        spec = load_batch(args.spec)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    summary = run_batch(spec, _out_dir(args), jobs=args.jobs)
+    summary = run_batch(load_batch(args.spec), _out_dir(args), jobs=args.jobs)
     for r in summary["sessions"]:
         if r["failed"]:
             state = f"failed: {r['failed']}"
@@ -83,16 +67,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    try:
-        cfg = load_scenario(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        *_, diag = opening_scene(cfg)
-    except (PolyServoError, ValueError) as exc:
-        print(f"diagnose failed: {exc}", file=sys.stderr)
-        return 2
+    *_, diag = opening_scene(load_scenario(args.config))
     print(json.dumps(diag.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -126,7 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:  # before PolyServoError: a subclass
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (PolyServoError, ValueError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -280,6 +280,10 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         max_recovery_steps = _number(doc.get("max_recovery_steps", 20), int)
         if max_recovery_steps < 0:
             raise ConfigError("max_recovery_steps must be nonnegative")
+
+        name = doc.get("name", name_hint)
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"name must be a plain file stem, got {name!r}")
     except _VALUE_ERRORS as exc:
         raise ConfigError(f"{block}: {exc}") from exc
 
@@ -289,7 +293,7 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
     ).hexdigest()
 
     return ScenarioConfig(
-        name=str(doc.get("name", name_hint)),
+        name=name,
         intrinsics=intrinsics,
         target_base=base,
         target_modes=modes,

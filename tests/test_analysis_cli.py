@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from polyservo.config import load_batch, load_scenario, parse_scenario
 from polyservo.errors import ConfigError, ShortRun
 from polyservo.svg import bar_chart, line_chart
 from polyservo.world import SimLog, run_scenario
-from test_world import tiny_scenario_doc
+from test_world import tiny_scenario_doc, unrecoverable_doc
 
 
 def synthetic_log(n=100, tail_value=0.05):
@@ -162,6 +163,39 @@ class TestCliRun:
             assert rc in (0, 2)
             outs.append((out / "tiny.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "doc, rc, stdout, stderr",
+        [
+            (
+                tiny_scenario_doc(duration=5.0),
+                0,
+                [
+                    r"steady-state \|err\|: ex=\d+\.\d\dpx ey=\d+\.\d\dpx "
+                    r"esig=\d+\.\d{4} eang=\d+\.\d{3}deg",
+                    "wrote {csv}",
+                    "converged",
+                ],
+                [],
+            ),
+            # 15 steps: a 0.2 window holds 3 samples, too few to grade.
+            (tiny_scenario_doc(duration=1.5), 2, ["wrote {csv}", "did not converge"], []),
+            (unrecoverable_doc(), 2, ["wrote {csv}"], ["aborted: unrecoverable infeasibility.*"]),
+        ],
+        ids=["converged", "too_short", "aborted"],
+    )
+    def test_run_report(self, tmp_path, capsys, doc, rc, stdout, stderr):
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--out", str(out), "--no-plots"]) == rc
+        cap = capsys.readouterr()
+        csv = re.escape(str(out / f"{doc['name']}.csv"))
+        for text, patterns in ((cap.out, stdout), (cap.err, stderr)):
+            lines = text.splitlines()
+            assert len(lines) == len(patterns), text
+            for line, pattern in zip(lines, patterns):
+                assert re.fullmatch(pattern.replace("{csv}", csv), line), line
 
     def test_diagnose_prints_bundle(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.json"

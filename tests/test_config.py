@@ -180,6 +180,14 @@ def _set(path, value):
         (("max_recovery_steps",), -1),
         (("convergence",), {"angle_deg": 0.0}),
         (("convergence",), {"angle_deg": -2.0}),
+        # A name that is not a plain file stem would write outside --out.
+        (("name",), 5),
+        (("name",), ""),
+        (("name",), "."),
+        (("name",), ".."),
+        (("name",), "../x"),
+        (("name",), "a/b"),
+        (("name",), "a\\b"),
     ],
 )
 def test_bad_value_raises_config_error(path, value):
@@ -273,6 +281,7 @@ def _cli(*args, cwd):
         ("diagnose", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
         ("run", _set(("ocp", "solver", "max_iters"), 0)),
         ("run", _set(("max_recovery_steps",), -1)),
+        ("run", _set(("name",), "../x")),
     ],
 )
 def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc):
@@ -282,6 +291,22 @@ def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc
     assert res.returncode == 1
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_unusable_output_directory_exits_one_before_any_work(tmp_path, command):
+    (tmp_path / "tiny.json").write_text(json.dumps(tiny_scenario_doc()))
+    (tmp_path / "spec.json").write_text(json.dumps({"scenarios": ["tiny.json"]}))
+    (tmp_path / "taken").write_text("")
+    res = _cli(
+        command, "spec.json" if command == "batch" else "tiny.json", "--out", "taken", cwd=tmp_path
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    [line] = res.stderr.splitlines()
+    assert line.startswith("config error") and "'taken'" in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "taken", "tiny.json"]
 
 
 def test_diagnose_setpoint_outside_safe_set_exits_two(tmp_path, capsys):

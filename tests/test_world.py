@@ -247,13 +247,7 @@ class TestLoopEndings:
         return p.read_text().splitlines()
 
     def test_unrecoverable_infeasibility_aborts_with_log(self, tmp_path):
-        # From z = 6 the octagon's projected area is below sigma_min,
-        # so no OCP can be posed; with no recovery steps allowed the run
-        # stops after its first logged step.
-        doc = json.loads((CONFIGS / "static_octagon.json").read_text())
-        doc["initial_pose"]["position"][2] = 6.0
-        doc["max_recovery_steps"] = 0
-        log = run_scenario(parse_scenario(doc, "abort"))
+        log = run_scenario(parse_scenario(unrecoverable_doc(), "abort"))
         assert log.aborted.startswith("unrecoverable infeasibility")
         assert log.n_steps == 1 and log.meta["steps"] == 1
         assert log.columns["feasible"].tolist() == [0]
@@ -274,6 +268,18 @@ class TestLoopEndings:
         assert all(col.shape == (0,) for col in log.columns.values())
         assert log.columns["iters"].dtype.kind == "i"
         assert self._csv_lines(log, tmp_path) == [CSV_HEADER]
+
+
+def unrecoverable_doc():
+    """``static_octagon`` that aborts after its first logged step.
+
+    From z = 6 the octagon's projected area is below sigma_min, so no OCP
+    can be posed, and no recovery steps are allowed.
+    """
+    doc = json.loads((CONFIGS / "static_octagon.json").read_text())
+    doc["initial_pose"]["position"][2] = 6.0
+    doc["max_recovery_steps"] = 0
+    return doc
 
 
 def off_image_doc():
