@@ -6,7 +6,9 @@ deformable-target generators and flow estimation (:mod:`polyservo.targets`),
 constraint barriers (:mod:`polyservo.barriers`), the receding-horizon
 controller and diagnostics (:mod:`polyservo.nmpc`), the closed-loop
 simulator (:mod:`polyservo.world`), and batch statistics
-(:mod:`polyservo.analysis`).
+(:mod:`polyservo.analysis`). The package re-exports only the names that the
+demos, tests and benchmark read from it; everything else is imported from its
+module.
 """
 
 __version__ = "0.1.0"
@@ -20,23 +22,12 @@ from .barriers import (
     barrier_Bx,
     constraint_L1,
     constraint_L2,
-    recentered_barrier,
 )
-from .camera import (
-    FULL_MASK,
-    UAV_MASK,
-    CameraIntrinsics,
-    interaction_matrices,
-    normalized_to_pixel,
-)
-from .config import BatchSpec, ScenarioConfig, load_batch, load_scenario
+from .camera import CameraIntrinsics
+from .config import load_batch, load_scenario
 from .nmpc import (
-    DiagnosticsBundle,
     OcpConfig,
-    OcpSolution,
     RecedingHorizonController,
-    SolverParams,
-    compute_diagnostics,
     local_controller_h,
     rollout,
     solve_ocp,
@@ -54,12 +45,4 @@ from .polygon import (
     propagate_discrete,
     state_jacobian,
 )
-from .targets import (
-    Breathing,
-    CentroidFlowEstimator,
-    DeformableTarget,
-    RigidDrift,
-    RigidSpin,
-    TravelingWave,
-)
-from .world import CameraPose, SimLog, inject_disturbance, run_scenario, step_world
+from .world import run_scenario

@@ -1,11 +1,17 @@
 """Scenario and batch configuration files.
 
-Configs are JSON documents. Parsing is strict: unknown keys anywhere in the
-document are rejected so typos cannot silently disable a setting, and every
-numeric value must be a finite JSON number (not a string or a boolean),
-integral where an integer is expected. Numeric fields are SI units (meters,
-seconds, radians) except where noted; image quantities are pixels in the
-intrinsics block and normalized units elsewhere.
+Configs are JSON documents. Parsing is strict. Every JSON object goes
+through one reader, and a key is accepted only if the parser reads it, so a
+typo cannot silently disable a setting. A required key that is absent is
+reported first, as ``<block>: missing key '...'``; the keys a block never
+read are reported when it closes, as ``<block>: unknown keys [...]``. So a
+misspelt required key reads as missing and a misspelt optional key as
+unknown. Every numeric value must be a finite JSON number (not a string or
+a boolean), integral where an integer is expected, and a scenario ``name``
+must be a plain file stem: a nonempty string other than ``.`` and ``..``
+with no ``/``, ``\\`` or NUL character. Numeric fields are SI units
+(meters, seconds, radians) except where noted; image quantities are pixels
+in the intrinsics block and normalized units elsewhere.
 """
 
 from __future__ import annotations
@@ -76,36 +82,6 @@ _MODES = {
     "traveling_wave": TravelingWave,
 }
 
-_OCP_KEYS = {
-    "horizon",
-    "dt",
-    "q",
-    "r",
-    "p",
-    "gamma",
-    "sigma_min",
-    "sigma_max",
-    "delta",
-    "nu_max",
-    "omega_max",
-    "solver",
-}
-
-_TOP_KEYS = {
-    "name",
-    "mode",
-    "intrinsics",
-    "target",
-    "initial_pose",
-    "x_des",
-    "ocp",
-    "disturbance",
-    "duration",
-    "estimator",
-    "convergence",
-    "max_recovery_steps",
-}
-
 # What a conversion or constructor raises on a wrong-typed or out-of-range value.
 _VALUE_ERRORS = (TypeError, ValueError, OverflowError)
 
@@ -131,42 +107,46 @@ def _floats(value):
     return np.asarray(_number(value))
 
 
-def _require(d, key, ctx):
-    if key not in d:
-        raise ConfigError(f"{ctx}: missing key {key!r}")
-    return d[key]
+class _Reader:
+    """One JSON object of a config, named ``block`` in error messages.
 
-
-def _object(d, allowed, ctx):
-    """Return ``d`` after checking it is a JSON object with only ``allowed`` keys."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{ctx}: expected a JSON object, got {type(d).__name__}")
-    extra = set(d) - set(allowed)
-    if extra:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(extra)}")
-    return d
-
-
-def _parse_fields(cls, d, ctx, extra_keys=()):
-    """Build dataclass ``cls`` from JSON object ``d``, one key per field.
-
-    Keys, required keys and defaults come from the fields of ``cls``; each
-    value is converted by :func:`_number` to its annotated type (``tuple``:
-    of floats). ``extra_keys`` are also allowed in ``d`` and left to the
-    caller.
+    A key is accepted exactly when it is read: :meth:`close` rejects every
+    key that no :meth:`read` asked for.
     """
-    fields = dataclasses.fields(cls)
-    _object(d, {f.name for f in fields} | set(extra_keys), ctx)
+
+    def __init__(self, doc, block):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{block}: expected a JSON object, got {type(doc).__name__}")
+        self.doc, self.block, self.unread = doc, block, set(doc)
+
+    def read(self, key, default=dataclasses.MISSING):
+        """The value of ``key``, else ``default``; without a default the key is required."""
+        self.unread.discard(key)
+        if key in self.doc:
+            return self.doc[key]
+        if default is dataclasses.MISSING:
+            raise ConfigError(f"{self.block}: missing key {key!r}")
+        return default
+
+    def close(self):
+        if self.unread:
+            raise ConfigError(f"{self.block}: unknown keys {sorted(self.unread)}")
+
+
+def _parse_fields(cls, obj):
+    """Build dataclass ``cls`` from reader ``obj``, one key per field, and close it.
+
+    Keys and defaults come from the fields of ``cls``, and a field without a
+    ``default`` is required; each value, a default too, is converted by
+    :func:`_number` to its annotated type (``tuple``: of floats).
+    """
     types = typing.get_type_hints(cls)
     kwargs = {}
-    for f in fields:
-        if f.name in d:
-            typ, value = types[f.name], d[f.name]
-            kwargs[f.name] = (
-                tuple(_number(v) for v in value) if typ is tuple else _number(value, typ)
-            )
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{ctx}: missing key {f.name!r}")
+    for f in dataclasses.fields(cls):
+        value = obj.read(f.name, f.default)
+        typ = types[f.name]
+        kwargs[f.name] = tuple(_number(v) for v in value) if typ is tuple else _number(value, typ)
+    obj.close()
     return cls(**kwargs)
 
 
@@ -187,103 +167,103 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
     """
     block = "scenario"
     try:
-        _object(doc, _TOP_KEYS, block)
-        mode = _require(doc, "mode", block)
+        top = _Reader(doc, block)
+        mode = top.read("mode")
         if mode not in ("free_camera", "uav"):
             raise ConfigError(f"scenario: unknown mode {mode!r}")
         mask = FULL_MASK if mode == "free_camera" else UAV_MASK
 
         block = "intrinsics"
-        intrinsics = _parse_fields(CameraIntrinsics, _require(doc, "intrinsics", "scenario"), block)
+        intrinsics = _parse_fields(CameraIntrinsics, _Reader(top.read("intrinsics"), block))
 
         block = "target"
-        td = _object(
-            _require(doc, "target", "scenario"),
-            {"base_vertices", "modes", "seed", "reference_pair"},
-            block,
-        )
-        base = _floats(_require(td, "base_vertices", block))
+        td = _Reader(top.read("target"), block)
+        base = _floats(td.read("base_vertices"))
         if base.ndim != 2 or base.shape[1] != 2 or base.shape[0] < 3:
             raise ConfigError("target.base_vertices must be an (N, 2) list, N >= 3")
-        ref = tuple(_number(v, int) for v in td.get("reference_pair", (0, 1)))
+        ref = tuple(_number(v, int) for v in td.read("reference_pair", (0, 1)))
         if len(ref) != 2 or ref[0] == ref[1] or not all(0 <= i < len(base) for i in ref):
             raise ConfigError("target.reference_pair must be two distinct vertex indices")
-        target_seed = _number(td.get("seed", 0), int) + seed_offset
+        target_seed = _number(td.read("seed", 0), int) + seed_offset
         modes = []
-        for i, entry in enumerate(td.get("modes", [])):
+        for i, entry in enumerate(td.read("modes", [])):
             block = f"target.modes[{i}]"
-            kind = _require(entry, "type", block)
+            md = _Reader(entry, block)
+            kind = md.read("type")
             if kind not in _MODES:
                 raise ConfigError(f"{block}: unknown mode type {kind!r}")
-            modes.append(_parse_fields(_MODES[kind], entry, block, extra_keys=("type",)))
+            modes.append(_parse_fields(_MODES[kind], md))
+        td.close()
 
         block = "initial_pose"
-        pd = _object(_require(doc, "initial_pose", "scenario"), {"position", "yaw"}, block)
-        position = _floats(_require(pd, "position", block))
+        pd = _Reader(top.read("initial_pose"), block)
+        position = _floats(pd.read("position"))
         if position.shape != (3,):
             raise ConfigError("initial_pose.position must have three entries")
         if position[2] <= 0.1:
             raise ConfigError("camera must start above the target plane (z > 0.1)")
-        initial_yaw = _number(pd.get("yaw", 0.0))
+        initial_yaw = _number(pd.read("yaw", 0.0))
+        pd.close()
 
         block = "x_des"
-        x_des = _floats(_require(doc, "x_des", "scenario"))
+        x_des = _floats(top.read("x_des"))
         if x_des.shape != (4,):
             raise ConfigError("x_des must have four entries")
 
-        od = _object(_require(doc, "ocp", "scenario"), _OCP_KEYS, "ocp")
+        od = _Reader(top.read("ocp"), "ocp")
         block = "ocp.solver"
-        solver = _parse_fields(SolverParams, od.get("solver", {}), block)
+        solver = _parse_fields(SolverParams, _Reader(od.read("solver", {}), block))
         block = "ocp"
         ocp = OcpConfig(
-            n=_number(_require(od, "horizon", block), int),
-            dt=_number(_require(od, "dt", block)),
-            q=_floats(_require(od, "q", block)),
-            r=_floats(_require(od, "r", block)),
-            p=_floats(_require(od, "p", block)),
-            visibility=VisibilityParams.from_intrinsics(
-                intrinsics, _number(_require(od, "gamma", block))
-            ),
+            n=_number(od.read("horizon"), int),
+            dt=_number(od.read("dt")),
+            q=_floats(od.read("q")),
+            r=_floats(od.read("r")),
+            p=_floats(od.read("p")),
+            visibility=VisibilityParams.from_intrinsics(intrinsics, _number(od.read("gamma"))),
             area_bounds=AreaBounds(
-                sigma_min=_number(_require(od, "sigma_min", block)),
-                sigma_max=_number(_require(od, "sigma_max", block)),
-                delta=_number(_require(od, "delta", block)),
+                sigma_min=_number(od.read("sigma_min")),
+                sigma_max=_number(od.read("sigma_max")),
+                delta=_number(od.read("delta")),
             ),
             limits=InputLimits(
-                nu_max=tuple(_number(v) for v in _require(od, "nu_max", block)),
-                omega_max=tuple(_number(v) for v in _require(od, "omega_max", block)),
+                nu_max=tuple(_number(v) for v in od.read("nu_max")),
+                omega_max=tuple(_number(v) for v in od.read("omega_max")),
             ),
             mask=mask,
             solver=solver,
         )
+        od.close()
 
         block = "disturbance"
-        dd = _object(doc.get("disturbance", {}), {"bound", "seed"}, block)
-        bound = _number(dd.get("bound", 0.0))
+        dd = _Reader(top.read("disturbance", {}), block)
+        bound = _number(dd.read("bound", 0.0))
         if not bound >= 0:
             raise ConfigError("disturbance.bound must be nonnegative")
-        dist_seed = _number(dd.get("seed", 0), int) + seed_offset
+        dist_seed = _number(dd.read("seed", 0), int) + seed_offset
+        dd.close()
 
         block = "duration"
-        duration = _number(_require(doc, "duration", "scenario"))
+        duration = _number(top.read("duration"))
         if not duration > 0:
             raise ConfigError("duration must be positive")
 
-        estimator = doc.get("estimator", "centroid_fd")
+        estimator = top.read("estimator", "centroid_fd")
         if estimator not in ("centroid_fd", "none"):
             raise ConfigError(f"unknown estimator {estimator!r}")
 
         block = "convergence"
-        conv = _parse_fields(ConvergenceSpec, doc.get("convergence", {}), block)
+        conv = _parse_fields(ConvergenceSpec, _Reader(top.read("convergence", {}), block))
 
         block = "max_recovery_steps"
-        max_recovery_steps = _number(doc.get("max_recovery_steps", 20), int)
+        max_recovery_steps = _number(top.read("max_recovery_steps", 20), int)
         if max_recovery_steps < 0:
             raise ConfigError("max_recovery_steps must be nonnegative")
 
-        name = doc.get("name", name_hint)
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        name = top.read("name", name_hint)
+        if not isinstance(name, str) or name in ("", ".", "..") or set(name) & {"/", "\\", "\x00"}:
             raise ConfigError(f"name must be a plain file stem, got {name!r}")
+        top.close()
     except _VALUE_ERRORS as exc:
         raise ConfigError(f"{block}: {exc}") from exc
 
@@ -339,8 +319,8 @@ def load_batch(path) -> BatchSpec:
     path = Path(path)
     doc = _read_json(path)
     try:
-        _object(doc, {"scenarios", "repetitions", "base_seed"}, "batch")
-        scenarios = _require(doc, "scenarios", "batch")
+        bd = _Reader(doc, "batch")
+        scenarios = bd.read("scenarios")
         if not isinstance(scenarios, list) or not all(isinstance(p, str) for p in scenarios):
             raise ConfigError("batch: scenarios must be a list of file names")
         if not scenarios:
@@ -354,10 +334,11 @@ def load_batch(path) -> BatchSpec:
                 parse_scenario(_read_json(p), p.stem)
             except (OSError, ConfigError) as exc:
                 raise ConfigError(f"batch: scenario {p}: {exc}") from exc
-        reps = _number(doc.get("repetitions", 1), int)
+        reps = _number(bd.read("repetitions", 1), int)
         if reps < 1:
             raise ConfigError("batch: repetitions must be at least 1")
-        base_seed = _number(doc.get("base_seed", 0), int)
+        base_seed = _number(bd.read("base_seed", 0), int)
+        bd.close()
     except _VALUE_ERRORS as exc:
         raise ConfigError(f"batch: {exc}") from exc
     return BatchSpec(

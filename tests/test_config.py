@@ -188,6 +188,7 @@ def _set(path, value):
         (("name",), "../x"),
         (("name",), "a/b"),
         (("name",), "a\\b"),
+        (("name",), "a\x00b"),  # the OS refuses it in a file name
     ],
 )
 def test_bad_value_raises_config_error(path, value):
@@ -246,6 +247,40 @@ def test_fixed_solver_constants_are_unknown_keys(path):
         parse_scenario(doc)
 
 
+def _object_paths(doc):
+    return [p for p in _nodes(doc) if isinstance(_get(doc, p), dict)]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_unknown_key_is_rejected_in_every_block(name):
+    paths = _object_paths(SCENARIOS[name])
+    assert len(paths) >= 8  # the scenario, intrinsics, target, ... convergence
+    for path in paths:
+        doc = copy.deepcopy(SCENARIOS[name])
+        _get(doc, path)["unexpected_key"] = 1
+        with pytest.raises(ConfigError, match="unknown keys.*unexpected_key"):
+            parse_scenario(doc, name)
+
+
+def test_unknown_key_is_rejected_in_the_batch_file(tmp_path):
+    assert _object_paths(BATCH) == [()]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(dict(BATCH, unexpected_key=1)))
+    with pytest.raises(ConfigError, match="unknown keys.*unexpected_key"):
+        load_batch(path)
+
+
+def test_misspelt_required_key_is_missing_and_misspelt_optional_key_unknown():
+    doc = tiny_scenario_doc()
+    doc["initial_pose"]["yaww"] = doc["initial_pose"].pop("yaw")
+    with pytest.raises(ConfigError, match=r"initial_pose: unknown keys \['yaww'\]"):
+        parse_scenario(doc)
+    doc = tiny_scenario_doc()
+    doc["ocp"]["horizn"] = doc["ocp"].pop("horizon")
+    with pytest.raises(ConfigError, match="ocp: missing key 'horizon'"):
+        parse_scenario(doc)
+
+
 def test_defaults_come_from_the_dataclasses():
     cfg = parse_scenario(tiny_scenario_doc())
     wave = {"type": "traveling_wave", "amplitude": 0.01, "wavelength": 0.8, "speed": 0.1}
@@ -282,6 +317,7 @@ def _cli(*args, cwd):
         ("run", _set(("ocp", "solver", "max_iters"), 0)),
         ("run", _set(("max_recovery_steps",), -1)),
         ("run", _set(("name",), "../x")),
+        ("run", _set(("name",), "a\x00b")),
     ],
 )
 def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc):

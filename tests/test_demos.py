@@ -3,7 +3,8 @@
 They are the only non-test callers of some public paths (demo 01 is the one
 of ``printed_dynamics_matrix``), so they run here as scripts, each in a
 fresh interpreter. Demos 04 and 05 run closed-loop
-sessions and write plots; they are left out to keep the suite fast.
+sessions and write plots; they are left out to keep the suite fast, and
+the CI workflow runs them as a step of its own.
 """
 
 import os

@@ -4,7 +4,10 @@ A name in a module's ``__all__`` must be read somewhere in ``src/``,
 ``demos/`` or ``bench/`` outside its own definition. Its ``__all__`` entry,
 the ``__init__.py`` re-exports and an import alone do not count, so a
 helper that only its own unit tests call fails here unless it is on
-``ALLOWED``. Standard library only (``ast``), like the unused-import guard.
+``ALLOWED``. Likewise a name that ``__init__.py`` re-exports must be imported
+from ``polyservo`` or read as ``polyservo.<name>`` in ``src/``, ``tests/``,
+``demos/`` or ``bench/``. Standard library only (``ast``), like the
+unused-import guard.
 """
 
 import ast
@@ -14,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "polyservo"
+INIT = SRC / "__init__.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 USERS = sorted(
     p for d in ("src", "demos", "bench") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
@@ -90,3 +94,52 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_exported_name_has_a_user(path):
     assert sorted(set(exported(path.read_text())) - REFERENCED - ALLOWED) == []
+
+
+def reexported(source: str) -> set:
+    """The names ``source`` imports from modules of its own package."""
+    return {
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def package_reads(sources) -> set:
+    """Names imported ``from polyservo`` or read as ``polyservo.<name>``."""
+    names = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.ImportFrom) and n.module == "polyservo" and n.level == 0:
+                names.update(alias.name for alias in n.names)
+            elif (
+                isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name)
+                and n.value.id == "polyservo"
+            ):
+                names.add(n.attr)
+    return names
+
+
+def test_package_checker_counts_only_package_reads():
+    init = "from .a import kept, dropped\nfrom .b import renamed as alias\nimport os\n"
+    user = (
+        "from polyservo import kept\n"
+        "import polyservo\n"
+        "polyservo.alias()\n"
+        "from polyservo.a import dropped\n"
+    )
+    assert reexported(init) == {"kept", "dropped", "alias"}
+    assert reexported(init) - package_reads([user]) == {"dropped"}
+
+
+def test_every_reexport_has_a_package_user():
+    users = [
+        p
+        for d in ("src", "tests", "demos", "bench")
+        for p in (ROOT / d).rglob("*.py")
+        if p != INIT
+    ]
+    unread = reexported(INIT.read_text()) - package_reads(p.read_text() for p in users)
+    assert sorted(unread) == []
