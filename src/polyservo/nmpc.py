@@ -3,12 +3,14 @@
 The decision variable is the stacked sequence of masked velocity commands
 over the horizon. The cost is the quadratic tracking/effort sum plus the
 recentered state barrier and the input saturation barrier at every stage,
-with a quadratic terminal term. Minimization uses damped BFGS descent with
-an Armijo backtracking line search; gradients are central finite
-differences of the total cost, evaluated as one batched rollout so a solve
-stays cheap. Barrier blowup makes the cost +inf outside the safe set, which
-the line search treats as an automatic rejection, so accepted iterates are
-always strictly interior.
+with a quadratic terminal term. Minimization takes Levenberg-damped
+generalized Gauss-Newton steps with an Armijo backtracking line search. The
+gradient is the central finite difference of the total cost, evaluated as
+one batched rollout, and the Gauss-Newton matrix is built from the same
+batch: its predicted states and constraint values give the Jacobians, each
+weighted by its cost term's curvature. Barrier blowup makes the cost +inf
+outside the safe set, which the line search treats as an automatic
+rejection, so accepted iterates are always strictly interior.
 
 The controller has one rollout, the private ``_OcpKernel``: a batched
 forward pass that writes image points as complex numbers, steps every
@@ -88,6 +90,8 @@ _BACKTRACK = 0.5  # step-length ratio of the line search
 _MAX_LS_STEPS = 30  # step lengths tried before a solve stops with no_descent
 _LS_LADDER = _BACKTRACK ** np.arange(_MAX_LS_STEPS, dtype=float)
 _LS_LADDER.setflags(write=False)
+_GN_DAMPING = 1e-8  # Levenberg damping at the start of each solve
+_GN_DAMPING_TRIES = 12  # tenfold damping increases tried for a descent direction
 # Local tail controller: feedback gain, pseudo-inverse damping, and the
 # command bound as a fraction of the input limits.
 _LOCAL_GAIN = 1.2
@@ -379,9 +383,13 @@ class _OcpKernel:
         return states, S, l1, l2, bad
 
     def cost(self, controls):
-        """Total cost for a batch of control sequences (B, n, M) -> (B,)."""
+        """Total cost for a batch of control sequences (B, n, M) -> (B,).
+
+        The batch's states and constraint values stay in ``_pass``.
+        """
         cfg, n = self.cfg, self.cfg.n
         states, _, l1, l2, bad = self.forward(controls)
+        self._pass = (states, l1, l2)
         flat = controls.reshape(controls.shape[0], -1)
         with np.errstate(all="ignore"):
             dx = states - self.x_des
@@ -408,19 +416,24 @@ class _OcpKernel:
         return float(self.cost(controls[None])[0])
 
     def gradient(self, theta, f0):
-        """Central-difference gradient of the flattened control vector."""
+        """Central-difference gradient of the flattened control vector.
+
+        The batch ends with ``theta`` itself, and the pass is kept for
+        :meth:`jacobian`.
+        """
         cfg = self.cfg
         d = theta.size
         h = _FD_STEP
-        pert = np.repeat(theta[None], 2 * d, axis=0)
+        pert = np.repeat(theta[None], 2 * d + 1, axis=0)
         idx = np.arange(d)
         pert[idx, idx] += h
         pert[d + idx, idx] -= h
-        c = self.cost(pert.reshape(2 * d, cfg.n, cfg.n_inputs))
-        cp, cm = c[:d], c[d:]
+        c = self.cost(pert.reshape(2 * d + 1, cfg.n, cfg.n_inputs))
+        cp, cm = c[:d], c[d : 2 * d]
         grad = (cp - cm) / (2.0 * h)
         bad_p = ~np.isfinite(cp)
         bad_m = ~np.isfinite(cm)
+        self._grad_pass = (theta, ~(bad_p | bad_m), *self._pass)
         one_sided_m = bad_p & ~bad_m
         one_sided_p = bad_m & ~bad_p
         if one_sided_m.any():
@@ -429,6 +442,35 @@ class _OcpKernel:
             grad[one_sided_p] = (cp[one_sided_p] - f0) / h
         grad[bad_p & bad_m] = 0.0
         return grad
+
+    def jacobian(self):
+        """Jacobian of the last :meth:`gradient` batch's outputs, and their weights.
+
+        The outputs are the states of every stage, then ``l1`` and ``l2`` of
+        stages 0..n-1. Row ``J[i]`` of ``J (d, K)`` is their central
+        difference in control i, zero where either side is infeasible;
+        ``w (K,)`` is each cost term's second derivative in its output (2q,
+        2p at the end, 2/l^3) at the unperturbed row.
+        """
+        theta, keep, states, l1, l2 = self._grad_pass
+        cfg, n, d = self.cfg, self.cfg.n, theta.size
+        rows = states.transpose(1, 0, 2).reshape(2 * d + 1, -1)
+        out = np.concatenate([rows, l1[:n].T, l2[:n].T], axis=1)
+        with np.errstate(invalid="ignore"):
+            jac = np.where(keep[:, None], out[:d] - out[d : 2 * d], 0.0) / (2.0 * _FD_STEP)
+        l_now = out[2 * d, 4 * n + 4 :]
+        return jac, np.concatenate([np.tile(2.0 * cfg.q, n), 2.0 * cfg.p, 2.0 / l_now**3])
+
+    def gauss_newton(self):
+        """Generalized Gauss-Newton matrix of the cost at the last gradient's point.
+
+        The state and barrier terms are ``J diag(w) J^T`` from :meth:`jacobian`;
+        the input terms add their exact curvature on the diagonal.
+        """
+        jac, w = self.jacobian()
+        u, m = self._grad_pass[0], self.limits_flat
+        curv_u = 2.0 * self.r_flat + 2.0 / (m - u) ** 3 + 2.0 / (m + u) ** 3
+        return (jac * w) @ jac.T + np.diag(curv_u)
 
 
 def solve_ocp(
@@ -471,8 +513,7 @@ def solve_ocp(
 
     sp = cfg.solver
     dim = theta.size
-    H = None  # lazily scaled on the first curvature pair
-    h_scale = 1.0
+    mu = _GN_DAMPING
     status = "max_iters"
     iterations = 0
     grad = kern.gradient(theta, f) if np.isfinite(f) else np.zeros(dim)
@@ -485,12 +526,16 @@ def solve_ocp(
     else:
         for it in range(1, sp.max_iters + 1):
             iterations = it
-            d = -h_scale * grad if H is None else -(H @ grad)
-            slope = float(grad @ d)
-            if slope >= 0.0:
-                H = None
-                d = -h_scale * grad
+            H = kern.gauss_newton()
+            for _ in range(_GN_DAMPING_TRIES):
+                d = -np.linalg.solve(H + mu * np.eye(dim), grad)
                 slope = float(grad @ d)
+                if slope < 0.0:
+                    break
+                mu *= 10.0
+            else:
+                status = "no_descent"
+                break
 
             # Armijo backtracking, whole ladder of step lengths per batch.
             t, fc = None, None
@@ -506,29 +551,9 @@ def solve_ocp(
             if t is None:
                 status = "no_descent"
                 break
-            cand = theta + t * d
-
-            grad_new = kern.gradient(cand, fc)
-            s = t * d
-            y = grad_new - grad
-            sy = float(s @ y)
-            if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
-                if H is None:
-                    # Barzilai-Borwein initial metric, then standard BFGS.
-                    h_scale = sy / float(y @ y)
-                    H = h_scale * np.eye(dim)
-                rho = 1.0 / sy
-                Hy = H @ y
-                H = (
-                    H
-                    - rho * (np.outer(s, Hy) + np.outer(Hy, s))
-                    + rho * rho * float(y @ Hy) * np.outer(s, s)
-                    + rho * np.outer(s, s)
-                )
-            else:
-                H = None
-
-            theta, f, grad = cand, fc, grad_new
+            mu = mu / 3.0 if t == 1.0 else 2.0 * mu
+            theta, f = theta + t * d, fc
+            grad = kern.gradient(theta, f)
             gnorm = float(np.abs(grad).max())
             if gnorm <= sp.grad_tol:
                 status = "converged"

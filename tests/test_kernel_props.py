@@ -10,7 +10,10 @@ On the same instances, ``solve_ocp`` is held to the invariants the
 receding-horizon argument relies on, whatever the search direction: the
 solved cost never exceeds a finite warm start's cost, the returned controls
 are finite and strictly inside the input limits, and ``grad_norm`` is the
-gradient's max-norm at the returned controls.
+gradient's max-norm at the returned controls. Its search matrix, the
+Gauss-Newton matrix of the gradient's own batch, is symmetric positive
+definite, gives a descent step, and ignores coordinates whose finite
+difference leaves the safe set.
 """
 
 import numpy as np
@@ -27,10 +30,10 @@ from polyservo import (
     solve_ocp,
     total_cost,
 )
-from polyservo.barriers import RecenteringAnchor
+from polyservo.barriers import EPS_L, RecenteringAnchor
 from polyservo.camera import UAV_MASK
 from polyservo.errors import InfeasibleStart, PolyServoError
-from polyservo.nmpc import _OcpKernel
+from polyservo.nmpc import _FD_STEP, _GN_DAMPING, _OcpKernel
 from conftest import random_polygon
 
 Z = 2.0
@@ -163,3 +166,40 @@ def test_solve_ocp_invariants(inst, scale, warm):
     if np.isfinite(sol.cost):
         grad = kern.gradient(sol.controls.ravel(), sol.cost)
         assert sol.grad_norm == np.abs(grad).max()
+
+
+@PROPS
+@given(inst=instances(), scale=st.floats(0.01, 1.0), at_limit=st.booleans())
+def test_gauss_newton_matrix_gives_descent(inst, scale, at_limit):
+    poly, x0, flow, cfg, x_des, anchor, rng = inst
+    kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
+    theta = _controls(rng, cfg, scale).ravel()
+    if at_limit:
+        # One input within a finite-difference step of its saturation
+        # bound, so that coordinate's outer side is infeasible.
+        i = rng.integers(theta.size)
+        theta[i] = np.sign(theta[i]) * (kern.limits_flat[i] - EPS_L - 0.5 * _FD_STEP)
+    f = kern.cost_one(theta.reshape(cfg.n, cfg.n_inputs))
+    assume(np.isfinite(f))  # a feasible iterate
+    shape = (theta.size, cfg.n, cfg.n_inputs)
+    step = _FD_STEP * np.eye(theta.size)
+    infeasible_side = ~(
+        np.isfinite(kern.cost((theta + step).reshape(shape)))
+        & np.isfinite(kern.cost((theta - step).reshape(shape)))
+    )
+
+    grad = kern.gradient(theta, f)
+    jac, _ = kern.jacobian()
+    H = kern.gauss_newton()
+    assert np.isfinite(H).all()
+    assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max()
+    # Positive definite, judged after unit-diagonal scaling: an input at
+    # its limit puts a curvature of about 1e19 on the diagonal.
+    assert (np.diag(H) > 0.0).all()
+    unit = 1.0 / np.sqrt(np.diag(H))
+    assert np.linalg.eigvalsh(H * np.outer(unit, unit)).min() > 0.0
+    assert infeasible_side.any() or not at_limit
+    assert (jac[infeasible_side] == 0.0).all()
+    if np.abs(grad).max() > cfg.solver.grad_tol:
+        d = -np.linalg.solve(H + _GN_DAMPING * np.eye(theta.size), grad)
+        assert grad @ d < 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from polyservo import (
 )
 from polyservo.barriers import EPS_L, InputLimits, RecenteringAnchor
 from polyservo.camera import FULL_MASK, UAV_MASK
+from polyservo.config import parse_scenario
 from polyservo.errors import (
     AngleSingularity,
     InfeasibleRollout,
@@ -44,9 +46,11 @@ from polyservo.nmpc import (
     prediction_error_bound,
 )
 from polyservo.polygon import _shoelace_sum
+from polyservo.world import run_scenario
 from conftest import random_polygon
 
 Z = 2.0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def anchor_for(cfg, x_des):
@@ -280,6 +284,17 @@ class TestSolver:
         x_bad[0] = small_ocp.visibility.x_max + 0.05
         with pytest.raises(InfeasibleStart):
             solve_ocp(pentagon, x_bad, None, small_ocp, extract_state(pentagon), Z)
+
+    def test_uav_wave_solves_converge(self):
+        # The Lyapunov and feasibility arguments assume each applied plan is
+        # a converged solve, not one cut off at max_iters.
+        doc = json.loads((CONFIGS / "fig8_uav_wave.json").read_text())
+        doc["duration"] = 4.0
+        cfg = parse_scenario(doc, "uav_wave_4s")
+        iters = run_scenario(cfg).columns["iters"]
+        assert iters.size == 40
+        assert (iters < cfg.ocp.solver.max_iters).all(), f"max {iters.max()}"
+        assert iters.mean() <= 4.0, f"mean {iters.mean():.2f} iterations per solve"
 
 
 class TestLocalController:
