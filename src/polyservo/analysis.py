@@ -53,13 +53,11 @@ def steady_state_error(log: SimLog, window: float = 0.2) -> dict:
     cols = log.columns
     ex = float(np.abs(cols["ex"][sl]).mean())
     ey = float(np.abs(cols["ey"][sl]).mean())
-    alpha_x = log.meta.get("alpha_x", 1.0)
-    alpha_y = log.meta.get("alpha_y", 1.0)
     return {
         "ex": ex,
         "ey": ey,
-        "ex_px": ex * alpha_x,
-        "ey_px": ey * alpha_y,
+        "ex_px": ex * log.meta["alpha_x"],
+        "ey_px": ey * log.meta["alpha_y"],
         "esig": float(np.abs(cols["esig"][sl]).mean()),
         "eang_deg": float(np.abs(cols["eang"][sl]).mean()),
     }

@@ -3,14 +3,17 @@
 The decision variable is the stacked sequence of masked velocity commands
 over the horizon. The cost is the quadratic tracking/effort sum plus the
 recentered state barrier and the input saturation barrier at every stage,
-with a quadratic terminal term. Minimization takes Levenberg-damped
-generalized Gauss-Newton steps with an Armijo backtracking line search. The
-gradient is the central finite difference of the total cost, evaluated as
-one batched rollout, and the Gauss-Newton matrix is built from the same
-batch: its predicted states and constraint values give the Jacobians, each
-weighted by its cost term's curvature. Barrier blowup makes the cost +inf
-outside the safe set, which the line search treats as an automatic
-rejection, so accepted iterates are always strictly interior.
+with a quadratic terminal term. Minimization takes generalized Gauss-Newton
+steps with an Armijo backtracking line search. One batched rollout of the
+controls moved each way in each coordinate gives both derivatives: its
+predicted states and constraint values are differenced once into a
+Jacobian; the gradient is that Jacobian times the cost's slope in them,
+and the Gauss-Newton matrix weights it by each term's curvature. The input
+terms enter both exactly. Every weight and the input curvature are
+positive, so the matrix is positive definite and the step needs no damping.
+Barrier blowup makes the cost +inf outside the safe set, which the line
+search treats as an automatic rejection, so accepted iterates are always
+strictly interior.
 
 The controller has one rollout, the private ``_OcpKernel``: a batched
 forward pass that writes image points as complex numbers, steps every
@@ -84,14 +87,12 @@ __all__ = [
 
 
 # Fixed numerical constants of the method; scenarios do not set them.
-_FD_STEP = 1e-6  # central-difference step of the cost gradient
+_FD_STEP = 1e-6  # difference step of the rollout outputs behind both derivatives
 _ARMIJO_C1 = 1e-4  # sufficient-decrease factor of the line search
 _BACKTRACK = 0.5  # step-length ratio of the line search
 _MAX_LS_STEPS = 30  # step lengths tried before a solve stops with no_descent
 _LS_LADDER = _BACKTRACK ** np.arange(_MAX_LS_STEPS, dtype=float)
 _LS_LADDER.setflags(write=False)
-_GN_DAMPING = 1e-8  # Levenberg damping at the start of each solve
-_GN_DAMPING_TRIES = 12  # tenfold damping increases tried for a descent direction
 # Local tail controller: feedback gain, pseudo-inverse damping, and the
 # command bound as a fraction of the input limits.
 _LOCAL_GAIN = 1.2
@@ -312,6 +313,8 @@ class _OcpKernel:
         # Input weights and limits tiled over the horizon, for flat sequences.
         self.r_flat = np.tile(cfg.masked_r, cfg.n)
         self.limits_flat = np.tile(cfg.masked_limits, cfg.n)
+        # Curvature of each stage's state term in its state (2q, 2p at the end).
+        self.w_state = np.vstack([np.tile(2.0 * cfg.q, (cfg.n, 1)), 2.0 * cfg.p])
         # Recentring constants collapse to one offset and one linear term.
         self.b_sum = float(anchor.b_des.sum())
         self.grad_sum = anchor.grad_b_des.sum(axis=0)
@@ -385,11 +388,12 @@ class _OcpKernel:
     def cost(self, controls):
         """Total cost for a batch of control sequences (B, n, M) -> (B,).
 
-        The batch's states and constraint values stay in ``_pass``.
+        The batch's states, constraint values and rejected rows stay in
+        ``_pass``.
         """
         cfg, n = self.cfg, self.cfg.n
         states, _, l1, l2, bad = self.forward(controls)
-        self._pass = (states, l1, l2)
+        self._pass = (states, l1, l2, bad)
         flat = controls.reshape(controls.shape[0], -1)
         with np.errstate(all="ignore"):
             dx = states - self.x_des
@@ -415,60 +419,53 @@ class _OcpKernel:
     def cost_one(self, controls):
         return float(self.cost(controls[None])[0])
 
-    def gradient(self, theta, f0):
-        """Central-difference gradient of the flattened control vector.
+    def gradient(self, theta):
+        """Gradient of the cost in the flattened control vector.
 
-        The batch ends with ``theta`` itself, and the pass is kept for
-        :meth:`jacobian`.
+        One batch rolls out ``theta`` moved by +-``_FD_STEP`` in each
+        coordinate, then ``theta`` itself. Its outputs, the states of every
+        stage and ``l1``, ``l2`` of stages 0..n-1, are differenced once into
+        ``J (d, K)``: centrally where both sides are kept, one-sided where
+        :meth:`forward` rejects one side, zero where it rejects both. The
+        gradient is ``J`` times the cost's slope in those outputs plus the
+        input terms' exact slope. ``J`` with every row that has a rejected
+        side zeroed stays for :meth:`gauss_newton`, with each output's
+        curvature weight (2q, 2p at the end, 2/l^3) at ``theta``.
         """
-        cfg = self.cfg
-        d = theta.size
-        h = _FD_STEP
+        cfg, n, d = self.cfg, self.cfg.n, theta.size
         pert = np.repeat(theta[None], 2 * d + 1, axis=0)
         idx = np.arange(d)
-        pert[idx, idx] += h
-        pert[d + idx, idx] -= h
-        c = self.cost(pert.reshape(2 * d + 1, cfg.n, cfg.n_inputs))
-        cp, cm = c[:d], c[d : 2 * d]
-        grad = (cp - cm) / (2.0 * h)
-        bad_p = ~np.isfinite(cp)
-        bad_m = ~np.isfinite(cm)
-        self._grad_pass = (theta, ~(bad_p | bad_m), *self._pass)
-        one_sided_m = bad_p & ~bad_m
-        one_sided_p = bad_m & ~bad_p
-        if one_sided_m.any():
-            grad[one_sided_m] = (f0 - cm[one_sided_m]) / h
-        if one_sided_p.any():
-            grad[one_sided_p] = (cp[one_sided_p] - f0) / h
-        grad[bad_p & bad_m] = 0.0
-        return grad
-
-    def jacobian(self):
-        """Jacobian of the last :meth:`gradient` batch's outputs, and their weights.
-
-        The outputs are the states of every stage, then ``l1`` and ``l2`` of
-        stages 0..n-1. Row ``J[i]`` of ``J (d, K)`` is their central
-        difference in control i, zero where either side is infeasible;
-        ``w (K,)`` is each cost term's second derivative in its output (2q,
-        2p at the end, 2/l^3) at the unperturbed row.
-        """
-        theta, keep, states, l1, l2 = self._grad_pass
-        cfg, n, d = self.cfg, self.cfg.n, theta.size
+        pert[idx, idx] += _FD_STEP
+        pert[d + idx, idx] -= _FD_STEP
+        self.cost(pert.reshape(2 * d + 1, n, cfg.n_inputs))
+        states, l1, l2, bad = self._pass
         rows = states.transpose(1, 0, 2).reshape(2 * d + 1, -1)
         out = np.concatenate([rows, l1[:n].T, l2[:n].T], axis=1)
-        with np.errstate(invalid="ignore"):
-            jac = np.where(keep[:, None], out[:d] - out[d : 2 * d], 0.0) / (2.0 * _FD_STEP)
+        # A rejected side takes theta's own outputs (a one-sided difference
+        # over one step); rows rejected on both sides come out zero.
+        wall = bad[:d] | bad[d : 2 * d]
+        hi = np.where(bad[:d, None], out[2 * d], out[:d])
+        lo = np.where(bad[d : 2 * d, None], out[2 * d], out[d : 2 * d])
+        jac = (hi - lo) / np.where(wall, _FD_STEP, 2.0 * _FD_STEP)[:, None]
+
+        slope_x = self.w_state * (states[:, 2 * d] - self.x_des)
+        slope_x[:n] -= self.grad_sum
         l_now = out[2 * d, 4 * n + 4 :]
-        return jac, np.concatenate([np.tile(2.0 * cfg.q, n), 2.0 * cfg.p, 2.0 / l_now**3])
+        m = self.limits_flat
+        grad = jac @ np.concatenate([slope_x.ravel(), -1.0 / l_now**2])
+        grad += 2.0 * self.r_flat * theta + 1.0 / (m - theta) ** 2 - 1.0 / (m + theta) ** 2
+        jac[wall] = 0.0
+        self._gn = (theta, jac, np.concatenate([self.w_state.ravel(), 2.0 / l_now**3]))
+        return grad
 
     def gauss_newton(self):
         """Generalized Gauss-Newton matrix of the cost at the last gradient's point.
 
-        The state and barrier terms are ``J diag(w) J^T`` from :meth:`jacobian`;
+        The state and barrier terms are ``J diag(w) J^T`` from :meth:`gradient`;
         the input terms add their exact curvature on the diagonal.
         """
-        jac, w = self.jacobian()
-        u, m = self._grad_pass[0], self.limits_flat
+        u, jac, w = self._gn
+        m = self.limits_flat
         curv_u = 2.0 * self.r_flat + 2.0 / (m - u) ** 3 + 2.0 / (m + u) ** 3
         return (jac * w) @ jac.T + np.diag(curv_u)
 
@@ -512,11 +509,9 @@ def solve_ocp(
         f = kern.cost_one(theta.reshape(n, m))
 
     sp = cfg.solver
-    dim = theta.size
-    mu = _GN_DAMPING
     status = "max_iters"
     iterations = 0
-    grad = kern.gradient(theta, f) if np.isfinite(f) else np.zeros(dim)
+    grad = kern.gradient(theta) if np.isfinite(f) else np.zeros(theta.size)
     gnorm = float(np.abs(grad).max()) if np.isfinite(f) else np.inf
 
     if not np.isfinite(f):
@@ -526,14 +521,9 @@ def solve_ocp(
     else:
         for it in range(1, sp.max_iters + 1):
             iterations = it
-            H = kern.gauss_newton()
-            for _ in range(_GN_DAMPING_TRIES):
-                d = -np.linalg.solve(H + mu * np.eye(dim), grad)
-                slope = float(grad @ d)
-                if slope < 0.0:
-                    break
-                mu *= 10.0
-            else:
+            d = -np.linalg.solve(kern.gauss_newton(), grad)
+            slope = float(grad @ d)
+            if not slope < 0.0:
                 status = "no_descent"
                 break
 
@@ -551,9 +541,8 @@ def solve_ocp(
             if t is None:
                 status = "no_descent"
                 break
-            mu = mu / 3.0 if t == 1.0 else 2.0 * mu
             theta, f = theta + t * d, fc
-            grad = kern.gradient(theta, f)
+            grad = kern.gradient(theta)
             gnorm = float(np.abs(grad).max())
             if gnorm <= sp.grad_tol:
                 status = "converged"

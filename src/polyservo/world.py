@@ -239,7 +239,7 @@ def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
         res = controller.step(poly, x_meas, flow, z_ctrl)
         consecutive_recoveries = consecutive_recoveries + 1 if res.recovered else 0
         sol = res.solution
-        if collect_predictions and sol is not None:
+        if collect_predictions and not res.recovered:
             predictions.append((k_step, sol.predicted_states.copy()))
 
         err = x_meas - cfg.x_des

@@ -10,13 +10,18 @@ On the same instances, ``solve_ocp`` is held to the invariants the
 receding-horizon argument relies on, whatever the search direction: the
 solved cost never exceeds a finite warm start's cost, the returned controls
 are finite and strictly inside the input limits, and ``grad_norm`` is the
-gradient's max-norm at the returned controls. Its search matrix, the
-Gauss-Newton matrix of the gradient's own batch, is symmetric positive
-definite, gives a descent step, and ignores coordinates whose finite
-difference leaves the safe set.
+gradient's max-norm at the returned controls. The gradient is the chain
+rule through the once-differenced rollout outputs and matches the central
+difference of the cost wherever both sides are finite. The search matrix,
+the Gauss-Newton matrix built from the same differenced outputs, is finite,
+symmetric positive definite and gives a descent step without damping; at
+solved controls, a coordinate whose difference leaves the safe set has no
+off-diagonal entry. When no step length passes the line search, the solve
+says so with ``no_descent`` and returns its warm start unchanged.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +38,8 @@ from polyservo import (
 from polyservo.barriers import EPS_L, RecenteringAnchor
 from polyservo.camera import UAV_MASK
 from polyservo.errors import InfeasibleStart, PolyServoError
-from polyservo.nmpc import _FD_STEP, _GN_DAMPING, _OcpKernel
+from polyservo import nmpc
+from polyservo.nmpc import _FD_STEP, _OcpKernel
 from conftest import random_polygon
 
 Z = 2.0
@@ -164,8 +170,14 @@ def test_solve_ocp_invariants(inst, scale, warm):
     assert np.isfinite(sol.controls).all()
     assert (np.abs(sol.controls) < cfg.masked_limits).all()
     if np.isfinite(sol.cost):
-        grad = kern.gradient(sol.controls.ravel(), sol.cost)
+        grad = kern.gradient(sol.controls.ravel())
         assert sol.grad_norm == np.abs(grad).max()
+
+
+def _fd_batch(theta, cfg):
+    """Rows theta + h*e_i, then theta - h*e_i, shaped for the kernel."""
+    step = _FD_STEP * np.eye(theta.size)
+    return np.concatenate([theta + step, theta - step]).reshape(-1, cfg.n, cfg.n_inputs)
 
 
 @PROPS
@@ -176,21 +188,22 @@ def test_gauss_newton_matrix_gives_descent(inst, scale, at_limit):
     theta = _controls(rng, cfg, scale).ravel()
     if at_limit:
         # One input within a finite-difference step of its saturation
-        # bound, so that coordinate's outer side is infeasible.
+        # bound, so that coordinate's outer side has an infinite cost.
         i = rng.integers(theta.size)
         theta[i] = np.sign(theta[i]) * (kern.limits_flat[i] - EPS_L - 0.5 * _FD_STEP)
     f = kern.cost_one(theta.reshape(cfg.n, cfg.n_inputs))
     assume(np.isfinite(f))  # a feasible iterate
-    shape = (theta.size, cfg.n, cfg.n_inputs)
-    step = _FD_STEP * np.eye(theta.size)
-    infeasible_side = ~(
-        np.isfinite(kern.cost((theta + step).reshape(shape)))
-        & np.isfinite(kern.cost((theta - step).reshape(shape)))
-    )
+    c = kern.cost(_fd_batch(theta, cfg))
+    cp, cm = c[: theta.size], c[theta.size :]
+    both = np.isfinite(cp) & np.isfinite(cm)
+    fd = (cp - cm) / (2.0 * _FD_STEP)
+    assert not (at_limit and both.all())
 
-    grad = kern.gradient(theta, f)
-    jac, _ = kern.jacobian()
+    grad = kern.gradient(theta)
     H = kern.gauss_newton()
+    if both.any():
+        scale_fd = np.abs(fd[both]).max()
+        np.testing.assert_allclose(grad[both], fd[both], rtol=1e-5, atol=1e-4 * scale_fd)
     assert np.isfinite(H).all()
     assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max()
     # Positive definite, judged after unit-diagonal scaling: an input at
@@ -198,8 +211,49 @@ def test_gauss_newton_matrix_gives_descent(inst, scale, at_limit):
     assert (np.diag(H) > 0.0).all()
     unit = 1.0 / np.sqrt(np.diag(H))
     assert np.linalg.eigvalsh(H * np.outer(unit, unit)).min() > 0.0
-    assert infeasible_side.any() or not at_limit
-    assert (jac[infeasible_side] == 0.0).all()
     if np.abs(grad).max() > cfg.solver.grad_tol:
-        d = -np.linalg.solve(H + _GN_DAMPING * np.eye(theta.size), grad)
+        d = -np.linalg.solve(H, grad)
         assert grad @ d < 0.0
+
+
+@settings(PROPS, max_examples=100)
+@given(inst=instances(), scale=st.floats(0.01, 1.0), warm=st.booleans())
+def test_gauss_newton_matrix_drops_wall_coordinates(inst, scale, warm):
+    """At solved controls, a coordinate whose difference leaves the safe set
+    has no coupling to any other in the Gauss-Newton matrix."""
+    poly, x0, flow, cfg, x_des, anchor, rng = inst
+    warm_start = _controls(rng, cfg, scale) if warm else None
+    try:
+        sol = solve_ocp(poly, x0, flow, cfg, x_des, Z, warm_start=warm_start, anchor=anchor)
+    except InfeasibleStart:
+        assume(False)  # drew a measured state outside the safe set
+    assume(np.isfinite(sol.cost))
+    kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
+    theta = sol.controls.ravel()
+    kern.gradient(theta)
+    H = kern.gauss_newton()
+    bad = kern.forward(_fd_batch(theta, cfg))[4]
+    wall = bad[: theta.size] | bad[theta.size :]
+    off_diag = H - np.diag(np.diag(H))
+    assert (off_diag[wall] == 0.0).all()
+
+
+@pytest.mark.parametrize("uav", [False, True])
+def test_solve_ocp_reports_no_descent(uav, monkeypatch):
+    """No step length passes a sufficient-decrease factor of 2 on a convex
+    stretch: the solve stops in its first iteration and returns the warm
+    start unchanged."""
+    cfg = OCPS[uav]
+    rng = np.random.default_rng(3)
+    poly = random_polygon(rng, 6)
+    x0 = extract_state(poly)
+    x_des = x0 + np.array([0.05, -0.04, 0.1, 0.1])
+    anchor = RecenteringAnchor(x_des, cfg.visibility, cfg.area_bounds)
+    warm = _controls(rng, cfg, 0.1)
+    warm_cost = _OcpKernel(poly, x0, None, cfg, x_des, anchor, Z).cost_one(warm)
+    monkeypatch.setattr(nmpc, "_ARMIJO_C1", 2.0)
+    sol = solve_ocp(poly, x0, None, cfg, x_des, Z, warm_start=warm, anchor=anchor)
+    assert sol.status == "no_descent"
+    assert sol.iterations == 1
+    assert np.array_equal(sol.controls, warm)
+    assert sol.cost == warm_cost

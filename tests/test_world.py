@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from polyservo import PolygonFeatures, extract_state
 from polyservo.config import load_scenario, parse_scenario
 from polyservo.errors import TargetLost
+from polyservo.nmpc import RecedingHorizonController, StepResult
 from polyservo.polygon import propagate_discrete
 from polyservo.targets import DeformableTarget, RigidDrift
 from polyservo.world import (
@@ -195,6 +197,26 @@ class TestRunScenario:
             log.to_csv(p)
             out.append(p.read_bytes())
         assert out[0] == out[1]
+
+    def test_predictions_only_from_accepted_solves(self, monkeypatch):
+        # Step 0 recovers from a failed solve, whose predicted states are
+        # the measured state repeated; no one-step audit may read them.
+        step = RecedingHorizonController.step
+
+        def failing_first_step(ctrl, poly, x_meas, flow, z):
+            res = step(ctrl, poly, x_meas, flow, z)
+            if getattr(ctrl, "_failed_once", False):
+                return res
+            ctrl._failed_once = True
+            failed = replace(res.solution, cost=float("inf"), status="no_descent")
+            failed.predicted_states = np.repeat(x_meas[None], ctrl.cfg.n + 1, axis=0)
+            return StepResult(nu=res.nu, solution=failed, recovered=True)
+
+        monkeypatch.setattr(RecedingHorizonController, "step", failing_first_step)
+        cfg = parse_scenario(tiny_scenario_doc(duration=0.5), "preds")
+        log = run_scenario(cfg, collect_predictions=True)
+        assert log.columns["feasible"][0] == 0
+        assert [k for k, _ in log.predictions] == [1, 2, 3, 4]
 
     def test_csv_header_fixed(self, tmp_path):
         cfg = parse_scenario(tiny_scenario_doc(duration=1.2), "hdr")
