@@ -162,8 +162,8 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
 
     ``seed_offset`` shifts both the disturbance and target seeds, which is
     how batches and the ``--seed`` flag derive independent sessions from a
-    single scenario file. Any invalid value raises :class:`ConfigError`
-    naming the block it sits in.
+    single scenario file; a shifted seed must be nonnegative. Any invalid
+    value raises :class:`ConfigError` naming the block it sits in.
     """
     block = "scenario"
     try:
@@ -242,6 +242,9 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
             raise ConfigError("disturbance.bound must be nonnegative")
         dist_seed = _number(dd.read("seed", 0), int) + seed_offset
         dd.close()
+        for blk, seed in (("target", target_seed), ("disturbance", dist_seed)):
+            if seed < 0:
+                raise ConfigError(f"{blk}: seed plus seed offset must be nonnegative, got {seed}")
 
         block = "duration"
         duration = _number(top.read("duration"))
@@ -315,7 +318,7 @@ class BatchSpec:
 
 
 def load_batch(path) -> BatchSpec:
-    """Read a batch file; a listed scenario that does not parse is a ConfigError."""
+    """Read a batch file; a scenario that fails to parse at ``base_seed`` is a ConfigError."""
     path = Path(path)
     doc = _read_json(path)
     try:
@@ -329,16 +332,16 @@ def load_batch(path) -> BatchSpec:
         stems = [p.stem for p in paths]
         if len(set(stems)) != len(stems):
             raise ConfigError("batch: scenario file stems must be unique")
-        for p in paths:
-            try:
-                parse_scenario(_read_json(p), p.stem)
-            except (OSError, ConfigError) as exc:
-                raise ConfigError(f"batch: scenario {p}: {exc}") from exc
         reps = _number(bd.read("repetitions", 1), int)
         if reps < 1:
             raise ConfigError("batch: repetitions must be at least 1")
         base_seed = _number(bd.read("base_seed", 0), int)
         bd.close()
+        for p in paths:
+            try:
+                parse_scenario(_read_json(p), p.stem, seed_offset=base_seed)
+            except (OSError, ConfigError) as exc:
+                raise ConfigError(f"batch: scenario {p}: {exc}") from exc
     except _VALUE_ERRORS as exc:
         raise ConfigError(f"batch: {exc}") from exc
     return BatchSpec(

@@ -4,13 +4,15 @@ The decision variable is the stacked sequence of masked velocity commands
 over the horizon. The cost is the quadratic tracking/effort sum plus the
 recentered state barrier and the input saturation barrier at every stage,
 with a quadratic terminal term. Minimization takes generalized Gauss-Newton
-steps with an Armijo backtracking line search. One batched rollout of the
-controls moved each way in each coordinate gives both derivatives: its
-predicted states and constraint values are differenced once into a
-Jacobian; the gradient is that Jacobian times the cost's slope in them,
-and the Gauss-Newton matrix weights it by each term's curvature. The input
-terms enter both exactly. Every weight and the input curvature are
-positive, so the matrix is positive definite and the step needs no damping.
+steps with an Armijo backtracking line search. Each solver point is rolled
+out once, in one batch with the controls moved each way in each
+coordinate: its centre row gives the solve's opening cost and predicted
+trajectory, and the batch's states and constraint values are differenced
+once into a Jacobian; the gradient is that Jacobian times the cost's slope
+in them, and the Gauss-Newton matrix weights it by each term's curvature.
+The input terms enter both exactly. Every weight and the input curvature
+are positive, so the matrix is positive definite and the step needs no
+damping.
 Barrier blowup makes the cost +inf outside the safe set, which the line
 search treats as an automatic rejection, so accepted iterates are always
 strictly interior.
@@ -282,8 +284,9 @@ class _OcpKernel:
     the shoelace sum is ``Im(conj(s)*s_next)``, and the area and angle rows
     are one complex product each.
 
-    This forward pass is the controller's only rollout: the solver's cost,
-    its predicted trajectory and the warm start's tail state all come from
+    This forward pass is the controller's only rollout: the solver's costs
+    and derivatives, its predicted trajectory (a :meth:`gradient` batch's
+    centre row) and the warm start's tail state all come from
     :meth:`forward`. The public :func:`rollout`/:func:`total_cost` path
     through :func:`propagate_discrete` shares none of this code and is the
     independent oracle: the two agree to about 1e-12 relative and reject
@@ -416,14 +419,13 @@ class _OcpKernel:
             return None
         return states[:, 0], np.stack([S[..., 0].real, S[..., 0].imag], axis=-1)
 
-    def cost_one(self, controls):
-        return float(self.cost(controls[None])[0])
-
     def gradient(self, theta):
-        """Gradient of the cost in the flattened control vector.
+        """Cost and gradient of the cost at the flattened control vector.
 
         One batch rolls out ``theta`` moved by +-``_FD_STEP`` in each
-        coordinate, then ``theta`` itself. Its outputs, the states of every
+        coordinate, then ``theta`` itself: this centre row gives the cost
+        (+inf, with an all-inf gradient, where it is rejected) and its
+        states stay in ``centre_states``. The outputs, the states of every
         stage and ``l1``, ``l2`` of stages 0..n-1, are differenced once into
         ``J (d, K)``: centrally where both sides are kept, one-sided where
         :meth:`forward` rejects one side, zero where it rejects both. The
@@ -437,8 +439,11 @@ class _OcpKernel:
         idx = np.arange(d)
         pert[idx, idx] += _FD_STEP
         pert[d + idx, idx] -= _FD_STEP
-        self.cost(pert.reshape(2 * d + 1, n, cfg.n_inputs))
+        f = float(self.cost(pert.reshape(2 * d + 1, n, cfg.n_inputs))[2 * d])
         states, l1, l2, bad = self._pass
+        self.centre_states = states[:, 2 * d].copy()
+        if not np.isfinite(f):
+            return f, np.full(d, np.inf)
         rows = states.transpose(1, 0, 2).reshape(2 * d + 1, -1)
         out = np.concatenate([rows, l1[:n].T, l2[:n].T], axis=1)
         # A rejected side takes theta's own outputs (a one-sided difference
@@ -448,7 +453,7 @@ class _OcpKernel:
         lo = np.where(bad[d : 2 * d, None], out[2 * d], out[d : 2 * d])
         jac = (hi - lo) / np.where(wall, _FD_STEP, 2.0 * _FD_STEP)[:, None]
 
-        slope_x = self.w_state * (states[:, 2 * d] - self.x_des)
+        slope_x = self.w_state * (self.centre_states - self.x_des)
         slope_x[:n] -= self.grad_sum
         l_now = out[2 * d, 4 * n + 4 :]
         m = self.limits_flat
@@ -456,7 +461,7 @@ class _OcpKernel:
         grad += 2.0 * self.r_flat * theta + 1.0 / (m - theta) ** 2 - 1.0 / (m + theta) ** 2
         jac[wall] = 0.0
         self._gn = (theta, jac, np.concatenate([self.w_state.ravel(), 2.0 / l_now**3]))
-        return grad
+        return f, grad
 
     def gauss_newton(self):
         """Generalized Gauss-Newton matrix of the cost at the last gradient's point.
@@ -499,60 +504,51 @@ def solve_ocp(
     kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, z)
     n, m = cfg.n, cfg.n_inputs
 
-    if warm_start is None:
+    theta = np.zeros(n * m) if warm_start is None else np.array(warm_start, float).reshape(n * m)
+    f, grad = kern.gradient(theta)
+    if not np.isfinite(f) and theta.any():
         theta = np.zeros(n * m)
-    else:
-        theta = np.asarray(warm_start, dtype=float).reshape(n, m).ravel().copy()
-    f = kern.cost_one(theta.reshape(n, m))
-    if not np.isfinite(f):
-        theta = np.zeros(n * m)
-        f = kern.cost_one(theta.reshape(n, m))
+        f, grad = kern.gradient(theta)
 
     sp = cfg.solver
-    status = "max_iters"
+    status = "max_iters" if np.isfinite(f) else "no_descent"
     iterations = 0
-    grad = kern.gradient(theta) if np.isfinite(f) else np.zeros(theta.size)
-    gnorm = float(np.abs(grad).max()) if np.isfinite(f) else np.inf
+    gnorm = float(np.abs(grad).max())
+    while status == "max_iters":
+        if gnorm <= sp.grad_tol:
+            status = "converged"
+            break
+        if iterations == sp.max_iters:
+            break
+        iterations += 1
+        d = -np.linalg.solve(kern.gauss_newton(), grad)
+        slope = float(grad @ d)
+        if not slope < 0.0:
+            status = "no_descent"
+            break
 
-    if not np.isfinite(f):
-        status = "no_descent"
-    elif gnorm <= sp.grad_tol:
-        status = "converged"
-    else:
-        for it in range(1, sp.max_iters + 1):
-            iterations = it
-            d = -np.linalg.solve(kern.gauss_newton(), grad)
-            slope = float(grad @ d)
-            if not slope < 0.0:
-                status = "no_descent"
+        # Armijo backtracking, whole ladder of step lengths per batch.
+        t, fc = None, None
+        for start in range(0, _MAX_LS_STEPS, 8):
+            ts = _LS_LADDER[start : start + 8]
+            cands = theta[None] + ts[:, None] * d[None]
+            fs = kern.cost(cands.reshape(-1, n, m))
+            ok = np.isfinite(fs) & (fs <= f + _ARMIJO_C1 * ts * slope)
+            if ok.any():
+                j = int(np.argmax(ok))  # largest passing step
+                t, fc = float(ts[j]), float(fs[j])
                 break
+        if t is None:
+            status = "no_descent"
+            break
+        theta, f = theta + t * d, fc
+        grad = kern.gradient(theta)[1]
+        gnorm = float(np.abs(grad).max())
 
-            # Armijo backtracking, whole ladder of step lengths per batch.
-            t, fc = None, None
-            for start in range(0, _MAX_LS_STEPS, 8):
-                ts = _LS_LADDER[start : start + 8]
-                cands = theta[None] + ts[:, None] * d[None]
-                fs = kern.cost(cands.reshape(-1, n, m))
-                ok = np.isfinite(fs) & (fs <= f + _ARMIJO_C1 * ts * slope)
-                if ok.any():
-                    j = int(np.argmax(ok))  # largest passing step
-                    t, fc = float(ts[j]), float(fs[j])
-                    break
-            if t is None:
-                status = "no_descent"
-                break
-            theta, f = theta + t * d, fc
-            grad = kern.gradient(theta)
-            gnorm = float(np.abs(grad).max())
-            if gnorm <= sp.grad_tol:
-                status = "converged"
-                break
-
-    controls = theta.reshape(n, m)
-    pred = kern.predict(controls) if np.isfinite(f) else None
+    # The last gradient batch was at the returned controls.
     return OcpSolution(
-        controls=controls,
-        predicted_states=np.repeat(x0[None], n + 1, axis=0) if pred is None else pred[0],
+        controls=theta.reshape(n, m),
+        predicted_states=kern.centre_states if np.isfinite(f) else np.tile(x0, (n + 1, 1)),
         cost=float(f),
         iterations=iterations,
         status=status,

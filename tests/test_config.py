@@ -189,6 +189,9 @@ def _set(path, value):
         (("name",), "a/b"),
         (("name",), "a\\b"),
         (("name",), "a\x00b"),  # the OS refuses it in a file name
+        # Seeds for numpy's generators are nonnegative.
+        (("disturbance", "seed"), -1),
+        (("target", "seed"), -1),
     ],
 )
 def test_bad_value_raises_config_error(path, value):
@@ -318,6 +321,9 @@ def _cli(*args, cwd):
         ("run", _set(("max_recovery_steps",), -1)),
         ("run", _set(("name",), "../x")),
         ("run", _set(("name",), "a\x00b")),
+        ("run", _set(("target", "seed"), -1)),
+        ("run", _set(("disturbance", "seed"), -1)),
+        ("batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "base_seed": -100}),
     ],
 )
 def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc):
@@ -328,6 +334,15 @@ def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_cli_negative_seed_offset_exits_one_without_traceback(tmp_path):
+    (tmp_path / "tiny.json").write_text(json.dumps(tiny_scenario_doc()))
+    res = _cli("run", "tiny.json", "--seed", "-100", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("config error: target: seed plus seed offset")
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.json"]
 
 
 @pytest.mark.parametrize("command", ["run", "batch"])

@@ -4,7 +4,9 @@
 ``propagate_discrete`` path) share no rollout code. On random star-shaped
 polygons, control sequences, target flows and both input masks they must
 give the same cost, reject exactly the same candidates, and a batched
-evaluation must agree row by row with single evaluations.
+evaluation must agree row by row with single evaluations; so must the
+centre row of a gradient batch, which gives a solve its cost and predicted
+trajectory.
 
 On the same instances, ``solve_ocp`` is held to the invariants the
 receding-horizon argument relies on, whatever the search direction: the
@@ -122,7 +124,7 @@ def _oracle(inst, controls):
 def test_kernel_equals_public_cost(inst, scale):
     poly, x0, flow, cfg, x_des, anchor, rng = inst
     controls = _controls(rng, cfg, scale)
-    got = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z).cost_one(controls)
+    got = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z).cost(controls[None])[0]
     want = _oracle(inst, controls)
     if np.isfinite(want):
         assert abs(got - want) <= RTOL * abs(want) + ATOL
@@ -133,7 +135,7 @@ def test_kernel_equals_public_cost(inst, scale):
 def test_kernel_rejects_exactly_where_oracle_raises(inst, scale):
     poly, x0, flow, cfg, x_des, anchor, rng = inst
     controls = _controls(rng, cfg, scale)
-    got = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z).cost_one(controls)
+    got = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z).cost(controls[None])[0]
     assert np.isinf(got) == np.isinf(_oracle(inst, controls))
     assert not np.isnan(got)
 
@@ -146,7 +148,7 @@ def test_batched_rows_equal_single_rows(inst, scale):
     kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
     rows = kern.cost(batch)
     for row, controls in zip(rows, batch):
-        one = kern.cost_one(controls)
+        one = kern.cost(controls[None])[0]
         if np.isfinite(one):
             assert abs(row - one) <= RTOL * abs(one) + ATOL
         else:
@@ -164,14 +166,63 @@ def test_solve_ocp_invariants(inst, scale, warm):
         assume(False)  # drew a measured state outside the safe set
     kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
     start = np.zeros((cfg.n, cfg.n_inputs)) if warm_start is None else warm_start
-    warm_cost = kern.cost_one(start)
+    warm_cost = kern.cost(start[None])[0]
     if np.isfinite(warm_cost):
         assert sol.cost <= warm_cost
     assert np.isfinite(sol.controls).all()
     assert (np.abs(sol.controls) < cfg.masked_limits).all()
     if np.isfinite(sol.cost):
-        grad = kern.gradient(sol.controls.ravel())
+        _, grad = kern.gradient(sol.controls.ravel())
         assert sol.grad_norm == np.abs(grad).max()
+
+
+@PROPS
+@given(inst=instances(), scale=st.floats(0.01, 1.0))
+def test_gradient_centre_row_is_the_single_row_pass(inst, scale):
+    poly, x0, flow, cfg, x_des, anchor, rng = inst
+    kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
+    controls = _controls(rng, cfg, scale)
+    one = kern.cost(controls[None])[0]
+    f, grad = kern.gradient(controls.ravel())
+    assert np.isinf(f) == np.isinf(one)
+    if np.isfinite(one):
+        assert abs(f - one) <= RTOL * abs(one)
+        pred_states, _ = kern.predict(controls)
+        np.testing.assert_allclose(kern.centre_states, pred_states, rtol=RTOL, atol=ATOL)
+    else:
+        assert (grad == np.inf).all()
+
+
+@pytest.mark.parametrize("warm, batches", [(None, 1), ("zero", 1), ("nonzero", 2)])
+def test_infeasible_start_is_retried_from_zero_only_once(warm, batches, monkeypatch):
+    """A target flow that carries the polygon out of view makes every start
+    infeasible: a nonzero warm start is retried from zero, a zero start is
+    evaluated once, and the solve reports no_descent at the measured state."""
+    cfg = OCPS[False]
+    rng = np.random.default_rng(3)
+    poly = random_polygon(rng, 6)
+    x0 = extract_state(poly)
+    anchor = RecenteringAnchor(x0, cfg.visibility, cfg.area_bounds)
+    warm_start = {
+        None: None,
+        "zero": np.zeros((cfg.n, cfg.n_inputs)),
+        "nonzero": _controls(rng, cfg, 0.1),
+    }[warm]
+    calls = []
+    cost = _OcpKernel.cost
+
+    def counted(self, controls):
+        calls.append(len(controls))
+        return cost(self, controls)
+
+    monkeypatch.setattr(_OcpKernel, "cost", counted)
+    flow = np.array([5.0, 0.0])
+    sol = solve_ocp(poly, x0, flow, cfg, x0, Z, warm_start=warm_start, anchor=anchor)
+    assert len(calls) == batches
+    assert sol.status == "no_descent" and sol.iterations == 0
+    assert sol.cost == np.inf and sol.grad_norm == np.inf
+    assert not sol.controls.any()
+    assert np.array_equal(sol.predicted_states, np.repeat(x0[None], cfg.n + 1, axis=0))
 
 
 def _fd_batch(theta, cfg):
@@ -191,7 +242,7 @@ def test_gauss_newton_matrix_gives_descent(inst, scale, at_limit):
         # bound, so that coordinate's outer side has an infinite cost.
         i = rng.integers(theta.size)
         theta[i] = np.sign(theta[i]) * (kern.limits_flat[i] - EPS_L - 0.5 * _FD_STEP)
-    f = kern.cost_one(theta.reshape(cfg.n, cfg.n_inputs))
+    f = kern.cost(theta.reshape(1, cfg.n, cfg.n_inputs))[0]
     assume(np.isfinite(f))  # a feasible iterate
     c = kern.cost(_fd_batch(theta, cfg))
     cp, cm = c[: theta.size], c[theta.size :]
@@ -199,7 +250,7 @@ def test_gauss_newton_matrix_gives_descent(inst, scale, at_limit):
     fd = (cp - cm) / (2.0 * _FD_STEP)
     assert not (at_limit and both.all())
 
-    grad = kern.gradient(theta)
+    _, grad = kern.gradient(theta)
     H = kern.gauss_newton()
     if both.any():
         scale_fd = np.abs(fd[both]).max()
@@ -242,7 +293,7 @@ def test_gauss_newton_matrix_drops_wall_coordinates(inst, scale, warm):
 def test_solve_ocp_reports_no_descent(uav, monkeypatch):
     """No step length passes a sufficient-decrease factor of 2 on a convex
     stretch: the solve stops in its first iteration and returns the warm
-    start unchanged."""
+    start unchanged, with the cost its gradient batch gave there."""
     cfg = OCPS[uav]
     rng = np.random.default_rng(3)
     poly = random_polygon(rng, 6)
@@ -250,7 +301,7 @@ def test_solve_ocp_reports_no_descent(uav, monkeypatch):
     x_des = x0 + np.array([0.05, -0.04, 0.1, 0.1])
     anchor = RecenteringAnchor(x_des, cfg.visibility, cfg.area_bounds)
     warm = _controls(rng, cfg, 0.1)
-    warm_cost = _OcpKernel(poly, x0, None, cfg, x_des, anchor, Z).cost_one(warm)
+    warm_cost, _ = _OcpKernel(poly, x0, None, cfg, x_des, anchor, Z).gradient(warm.ravel())
     monkeypatch.setattr(nmpc, "_ARMIJO_C1", 2.0)
     sol = solve_ocp(poly, x0, None, cfg, x_des, Z, warm_start=warm, anchor=anchor)
     assert sol.status == "no_descent"

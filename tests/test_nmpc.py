@@ -170,7 +170,7 @@ class TestRollout:
         kern = _OcpKernel(pentagon, x0, None, small_ocp, x_des, a, Z)
         for _ in range(10):
             nu_F = rng.uniform(-0.15, 0.15, size=(small_ocp.n, 6))
-            jk = kern.cost_one(nu_F)
+            jk = kern.cost(nu_F[None])[0]
             jp = total_cost(pentagon, x0, nu_F, None, small_ocp, x_des, Z, anchor=a)
             assert jk == pytest.approx(jp, rel=1e-12)
 
@@ -181,7 +181,7 @@ class TestKernelGuards:
     @staticmethod
     def kernel_and_oracle(poly, x0, nu_F, flow, cfg, x_des):
         a = anchor_for(cfg, x_des)
-        got = _OcpKernel(poly, x0, flow, cfg, x_des, a, Z).cost_one(nu_F)
+        got = _OcpKernel(poly, x0, flow, cfg, x_des, a, Z).cost(nu_F[None])[0]
         return got, lambda: total_cost(poly, x0, nu_F, flow, cfg, x_des, Z, anchor=a)
 
     def test_input_within_eps_of_limit(self, small_ocp, pentagon):
@@ -264,7 +264,7 @@ class TestSolver:
             except ValueError:
                 continue  # drew a setpoint outside the safe set
             warm = rng.uniform(-0.1, 0.1, size=(small_ocp.n, 6))
-            kern_cost = _OcpKernel(poly, x0, None, small_ocp, x_des, a, Z).cost_one(warm)
+            kern_cost = _OcpKernel(poly, x0, None, small_ocp, x_des, a, Z).cost(warm[None])[0]
             sol = solve_ocp(poly, x0, None, small_ocp, x_des, Z, warm_start=warm, anchor=a)
             assert sol.cost <= kern_cost + 1e-12
             n_ok += 1
@@ -339,24 +339,25 @@ class TestRecedingController:
         np.testing.assert_array_equal(warm, np.zeros((small_ocp.n, small_ocp.n_inputs)))
 
     def test_shifted_warm_recomposition_bitexact(self, small_ocp, pentagon):
-        # Replaying the tail of the previous plan from its own predicted
-        # first step, through the forward pass the warm start uses,
-        # reproduces the stored prediction bit for bit. The public rollout
-        # oracle agrees with that prediction to rounding.
+        # The solve's prediction is the centre row of the gradient batch at
+        # its controls. Replaying the tail of the plan from its own
+        # predicted first step, through the forward pass the warm start
+        # uses, reproduces that pass's prediction bit for bit. The public
+        # rollout oracle agrees with the solve's prediction to rounding.
         x0 = extract_state(pentagon)
         x_des = x0 + np.array([0.1, -0.06, 0.1, 0.1])
         sol = solve_ocp(pentagon, x0, None, small_ocp, x_des, Z)
         a = anchor_for(small_ocp, x_des)
-        pred_states, pred_verts = _OcpKernel(
-            pentagon, x0, None, small_ocp, x_des, a, Z
-        ).predict(sol.controls)
-        assert np.array_equal(pred_states, sol.predicted_states)
+        kern = _OcpKernel(pentagon, x0, None, small_ocp, x_des, a, Z)
+        kern.gradient(sol.controls.ravel())
+        assert np.array_equal(kern.centre_states, sol.predicted_states)
+        pred_states, pred_verts = kern.predict(sol.controls)
         shifted = np.vstack([sol.controls[1:], np.zeros((1, small_ocp.n_inputs))])
         poly1 = PolygonFeatures(pred_verts[1], pentagon.reference_pair)
-        kern = _OcpKernel(poly1, sol.predicted_states[1], None, small_ocp, x_des, a, Z)
-        states, verts = kern.predict(shifted)
+        kern1 = _OcpKernel(poly1, pred_states[1], None, small_ocp, x_des, a, Z)
+        states, verts = kern1.predict(shifted)
         n = small_ocp.n
-        assert np.array_equal(states[: n - 1], sol.predicted_states[1:n])
+        assert np.array_equal(states[: n - 1], pred_states[1:n])
         assert np.array_equal(verts[: n - 1], pred_verts[1:n])
         ref_states, ref_verts = rollout(pentagon, x0, sol.controls, None, small_ocp, Z)
         np.testing.assert_allclose(sol.predicted_states, ref_states, rtol=1e-12, atol=1e-15)
