@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .barriers import AreaBounds, InputLimits, VisibilityParams
+from .barriers import AreaBounds, InputLimits, RecenteringAnchor, VisibilityParams
 from .camera import FULL_MASK, UAV_MASK, CameraIntrinsics
 from .errors import ConfigError
 from .nmpc import OcpConfig, SolverParams
@@ -234,6 +234,8 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
             solver=solver,
         )
         od.close()
+        block = "x_des"
+        RecenteringAnchor(x_des, ocp.visibility, ocp.area_bounds)  # raises outside the safe set
 
         block = "disturbance"
         dd = _Reader(top.read("disturbance", {}), block)

@@ -35,7 +35,7 @@ difference constants.
 
 from __future__ import annotations
 
-import ctypes
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -263,6 +263,19 @@ def total_cost(
     return j + terminal_cost(states[cfg.n] - x_des, cfg)
 
 
+_SCRATCH = threading.local()  # the kernel's buffer: one per thread, never shared
+
+
+def _scratch(shape):
+    """Complex views of ``shape`` into this thread's buffer, grown to the
+    largest request and kept, so big kernel arrays are not faulted in anew."""
+    size = int(np.prod(shape))
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(size, dtype=complex)
+    return buf[:size].reshape(shape)
+
+
 def _flow_array(flow, n):
     if flow is None:
         return np.zeros((n, 2))
@@ -331,7 +344,8 @@ class _OcpKernel:
         the safe set, a polygon degenerates or its reference angle turns
         singular. Input limits are not checked here. Arrays run over
         (step, vertex, row), so each step, each vertex sum and the barrier
-        pass work on contiguous blocks.
+        pass work on contiguous blocks. The vertices are scratch: they stay
+        valid only until the next ``forward`` in the same thread.
         """
         cfg = self.cfg
         B, n, dt = controls.shape[0], cfg.n, cfg.dt
@@ -343,8 +357,9 @@ class _OcpKernel:
         w = -u4 - 1j * u3
         bf = (-u4 - u0 * self.inv_z) + 1j * (u3 - u1 * self.inv_z) + (dt * self.f)[:, None]
 
-        S = np.empty((n + 1, self.s0.size, B), dtype=complex)
-        dV = np.empty((n, self.s0.size, B), dtype=complex)
+        # The vertex-sized arrays are scratch views; dV uses n of n+1 steps.
+        S, dV, s_next, prod = _scratch((4, n + 1, self.s0.size, B))
+        dV = dV[:n]
         S[0] = self.s0[:, None]
         with np.errstate(all="ignore"):
             for i in range(n):
@@ -353,10 +368,10 @@ class _OcpKernel:
                 dv += bf[i]
                 np.add(s, dv, out=S[i + 1])
 
-            # The vertex products reuse two scratch arrays: on big batches
-            # every extra large temporary costs fresh page faults.
-            s_next = S.take(self.i_next, axis=1)
-            prod = np.conjugate(S)
+            # mode="clip" lets take write into out without a buffered copy;
+            # the i_prev take borrows prod's memory until flux overwrites it.
+            np.take(S, self.i_next, axis=1, out=s_next, mode="clip")
+            np.conjugate(S, out=prod)
             prod *= s_next
             dsum = prod.imag.sum(axis=1)  # (n+1, B), twice the signed area
             sigma = 0.5 * np.abs(dsum)
@@ -365,7 +380,7 @@ class _OcpKernel:
             ev = self.w_ref @ dV
             c = dV.mean(axis=1)
             edge = s_next[:n]
-            edge -= S[:n].take(self.i_prev, axis=1)
+            edge -= np.take(S[:n], self.i_prev, axis=1, out=prod[:n], mode="clip")
             flux = np.conjugate(dV, out=prod[:n])
             flux *= edge
             # x0, then dt * state rate per step; the running sum is the states.
@@ -577,24 +592,6 @@ def local_controller_h(x_err, poly: PolygonFeatures, cfg: OcpConfig, z: float):
     return np.clip(nu, -bound, bound)
 
 
-def _keep_freed_heap():
-    """Fix glibc's heap thresholds so freed kernel temporaries are reused.
-
-    With the default, self-adjusting thresholds, whether each kernel call's
-    temporaries are returned to the OS and faulted in again by the next call
-    depends on heap layout, which unrelated edits change. No-op without
-    ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks under 4 MB come from the heap
-    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: keep up to 32 MB of free heap
-
-
 class RecedingHorizonController:
     """Stateful receding-horizon wrapper: warm start, solve, apply first input.
 
@@ -605,7 +602,6 @@ class RecedingHorizonController:
     """
 
     def __init__(self, cfg: OcpConfig, x_des):
-        _keep_freed_heap()
         self.cfg = cfg
         self.x_des = np.asarray(x_des, dtype=float)
         self.anchor = RecenteringAnchor(self.x_des, cfg.visibility, cfg.area_bounds)

@@ -192,6 +192,8 @@ def _set(path, value):
         # Seeds for numpy's generators are nonnegative.
         (("disturbance", "seed"), -1),
         (("target", "seed"), -1),
+        # A setpoint outside the safe set has no recentred barrier.
+        (("x_des",), [0.0, 0.0, 5.0, 0.0]),
     ],
 )
 def test_bad_value_raises_config_error(path, value):
@@ -324,6 +326,7 @@ def _cli(*args, cwd):
         ("run", _set(("target", "seed"), -1)),
         ("run", _set(("disturbance", "seed"), -1)),
         ("batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "base_seed": -100}),
+        ("run", _set(("x_des",), [0.0, 0.0, 5.0, 0.0])),
     ],
 )
 def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc):
@@ -360,11 +363,12 @@ def test_unusable_output_directory_exits_one_before_any_work(tmp_path, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "taken", "tiny.json"]
 
 
-def test_diagnose_setpoint_outside_safe_set_exits_two(tmp_path, capsys):
+def test_diagnose_setpoint_outside_safe_set_exits_one(tmp_path, capsys):
     path = tmp_path / "outside.json"
     path.write_text(json.dumps(tiny_scenario_doc(x_des=[5.0, 0.0, -2.40795, 0.0])))
-    assert cli_main(["diagnose", str(path)]) == 2
-    assert "diagnose failed" in capsys.readouterr().err
+    assert cli_main(["diagnose", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: x_des: x_des must be strictly inside the safe set")
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose", "batch"])
@@ -404,11 +408,10 @@ def test_batch_with_malformed_scenario_exits_one_before_any_session(tmp_path):
 
 
 def test_batch_records_failed_session_and_exits_two(tmp_path):
-    outside = tiny_scenario_doc(x_des=[5.0, 0.0, -2.40795, 0.0])
-    res = _cli("batch", str(_batch_dir(tmp_path, outside)), cwd=tmp_path)
+    res = _cli("batch", str(_batch_dir(tmp_path, off_image_doc())), cwd=tmp_path)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert "second_rep000: failed: x_des must be strictly inside the safe set" in res.stdout
+    assert "second_rep000: failed: target vertex left the image" in res.stdout
     assert "good_rep000: ok" in res.stdout
     assert (tmp_path / "out" / "good_rep000.csv").exists()
     assert (tmp_path / "out" / "aggregate.csv").exists()

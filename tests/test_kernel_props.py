@@ -6,7 +6,10 @@ polygons, control sequences, target flows and both input masks they must
 give the same cost, reject exactly the same candidates, and a batched
 evaluation must agree row by row with single evaluations; so must the
 centre row of a gradient batch, which gives a solve its cost and predicted
-trajectory.
+trajectory. The kernel reuses one buffer per thread for its vertex arrays,
+so what it hands out must survive its later calls, larger batches and
+smaller alike, and kernels run in several threads must give their serial
+results.
 
 On the same instances, ``solve_ocp`` is held to the invariants the
 receding-horizon argument relies on, whatever the search direction: the
@@ -21,6 +24,9 @@ solved controls, a coordinate whose difference leaves the safe set has no
 off-diagonal entry. When no step length passes the line search, the solve
 says so with ``no_descent`` and returns its warm start unchanged.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -191,6 +197,55 @@ def test_gradient_centre_row_is_the_single_row_pass(inst, scale):
         np.testing.assert_allclose(kern.centre_states, pred_states, rtol=RTOL, atol=ATOL)
     else:
         assert (grad == np.inf).all()
+
+
+@settings(PROPS, max_examples=50)
+@given(inst=instances(), scale=st.floats(0.01, 1.0))
+def test_outputs_survive_later_calls(inst, scale):
+    poly, x0, flow, cfg, x_des, anchor, rng = inst
+    kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
+    controls = _controls(rng, cfg, scale)
+    kern.gradient(controls.ravel())
+    held = [kern.centre_states, *(kern.predict(controls) or ())]
+    before = [a.tobytes() for a in held]
+    other = _controls(rng, cfg, scale)
+    kern.gradient(other.ravel())  # 2d+1 rows
+    kern.cost(other[None])  # one row
+    assert [a.tobytes() for a in held] == before
+
+
+def test_kernels_in_threads_match_serial_results():
+    """Each thread has its own scratch buffer: kernels with batches of
+    different sizes, run side by side, give their serial costs bit for bit."""
+    rng = np.random.default_rng(5)
+    jobs = []
+    for k in range(4):
+        cfg = OCPS[bool(k % 2)]
+        poly = random_polygon(rng, 5 + k)
+        x0 = extract_state(poly)
+        anchor = RecenteringAnchor(x0, cfg.visibility, cfg.area_bounds)
+        kern = _OcpKernel(poly, x0, None, cfg, x0, anchor, Z)
+        batch = _controls(rng, cfg, 0.3, batch=1 + 40 * k)
+        jobs.append((kern, batch, kern.cost(batch).tobytes()))
+    mismatches = []
+
+    def work(kern, batch, want):
+        for _ in range(30):
+            if kern.cost(batch).tobytes() != want:
+                mismatches.append(batch.shape[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=job) for job in jobs]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("warm, batches", [(None, 1), ("zero", 1), ("nonzero", 2)])
