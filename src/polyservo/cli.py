@@ -4,8 +4,8 @@
 
 - 0: ``run`` converged; ``batch`` had at least 90% of its sessions
   converge and none fail; ``diagnose`` printed its bundle.
-- 1: a configuration error, an invalid scenario ``name`` or an unusable
-  output directory (``config error: ...``).
+- 1: a configuration error, an invalid scenario ``name``, a ``batch``
+  ``--jobs`` below 1 or an unusable output directory (``config error: ...``).
 - 2: an aborted, missed or failed run or batch (``<command> failed: ...``
   when it raised), and ``diagnose`` when the scene admits no diagnostics.
 
@@ -53,6 +53,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     summary = run_batch(load_batch(args.spec), _out_dir(args), jobs=args.jobs)
     for r in summary["sessions"]:
         if r["failed"]:

@@ -21,11 +21,16 @@ The controller has one rollout, the private ``_OcpKernel``: a batched
 forward pass that writes image points as complex numbers, steps every
 candidate's vertices in a few array ops per horizon step, and forms the
 moment-state rows, barriers and quadratics for all steps at once. It gives
-the solver's costs, the predicted trajectory and the warm start's tail
-state. The public :func:`rollout`, :func:`stage_cost` and
+the solver's costs and the predicted trajectory with its horizon-end
+polygon. The public :func:`rollout`, :func:`stage_cost` and
 :func:`total_cost` step one polygon at a time through
 :func:`~polyservo.polygon.propagate_discrete` and the scalar barriers; they
 share no rollout code with the kernel and serve as its reference oracle.
+
+The receding-horizon warm start is the stability argument's shifted
+candidate: the last accepted solve's controls shifted one step, then the
+local controller acting on that solve's own predicted terminal state and
+polygon. It rolls nothing out.
 
 The module also computes the Lipschitz/feasibility diagnostics attached to
 every run: the model and cost Lipschitz constants, the disturbance bound
@@ -171,6 +176,7 @@ class OcpConfig:
 class OcpSolution:
     controls: np.ndarray  # (n, M) masked commands
     predicted_states: np.ndarray  # (n+1, 4)
+    terminal_vertices: np.ndarray | None  # (N, 2) predicted at step n; None if cost is inf
     cost: float
     iterations: int
     status: str
@@ -298,10 +304,10 @@ class _OcpKernel:
     are one complex product each.
 
     This forward pass is the controller's only rollout: the solver's costs
-    and derivatives, its predicted trajectory (a :meth:`gradient` batch's
-    centre row) and the warm start's tail state all come from
-    :meth:`forward`. The public :func:`rollout`/:func:`total_cost` path
-    through :func:`propagate_discrete` shares none of this code and is the
+    and derivatives, its predicted trajectory and its horizon-end polygon
+    (a :meth:`gradient` batch's centre row) all come from :meth:`forward`.
+    The public :func:`rollout`/:func:`total_cost` path through
+    :func:`propagate_discrete` shares none of this code and is the
     independent oracle: the two agree to about 1e-12 relative and reject
     exactly the same candidates.
     """
@@ -406,12 +412,12 @@ class _OcpKernel:
     def cost(self, controls):
         """Total cost for a batch of control sequences (B, n, M) -> (B,).
 
-        The batch's states, constraint values and rejected rows stay in
-        ``_pass``.
+        The batch's states, horizon-end vertices (scratch), constraint values
+        and rejected rows stay in ``_pass``.
         """
         cfg, n = self.cfg, self.cfg.n
-        states, _, l1, l2, bad = self.forward(controls)
-        self._pass = (states, l1, l2, bad)
+        states, S, l1, l2, bad = self.forward(controls)
+        self._pass = (states, S[n], l1, l2, bad)
         flat = controls.reshape(controls.shape[0], -1)
         with np.errstate(all="ignore"):
             dx = states - self.x_des
@@ -424,24 +430,15 @@ class _OcpKernel:
             cost = np.where(bad, np.inf, cost)
         return np.where(np.isfinite(cost), cost, np.inf)
 
-    def predict(self, controls):
-        """States (n+1, 4) and vertices (n+1, N, 2) predicted for one sequence.
-
-        Returns ``None`` where :func:`rollout` would raise.
-        """
-        states, S, _, _, bad = self.forward(controls[None])
-        if bad[0]:
-            return None
-        return states[:, 0], np.stack([S[..., 0].real, S[..., 0].imag], axis=-1)
-
     def gradient(self, theta):
         """Cost and gradient of the cost at the flattened control vector.
 
         One batch rolls out ``theta`` moved by +-``_FD_STEP`` in each
         coordinate, then ``theta`` itself: this centre row gives the cost
-        (+inf, with an all-inf gradient, where it is rejected) and its
-        states stay in ``centre_states``. The outputs, the states of every
-        stage and ``l1``, ``l2`` of stages 0..n-1, are differenced once into
+        (+inf, with an all-inf gradient, where it is rejected), and its
+        states and horizon-end vertices (N, 2) stay in ``centre_states`` and
+        ``terminal_vertices``. The outputs, the states of every stage and
+        ``l1``, ``l2`` of stages 0..n-1, are differenced once into
         ``J (d, K)``: centrally where both sides are kept, one-sided where
         :meth:`forward` rejects one side, zero where it rejects both. The
         gradient is ``J`` times the cost's slope in those outputs plus the
@@ -455,8 +452,10 @@ class _OcpKernel:
         pert[idx, idx] += _FD_STEP
         pert[d + idx, idx] -= _FD_STEP
         f = float(self.cost(pert.reshape(2 * d + 1, n, cfg.n_inputs))[2 * d])
-        states, l1, l2, bad = self._pass
+        states, s_end, l1, l2, bad = self._pass
         self.centre_states = states[:, 2 * d].copy()
+        end = s_end[:, 2 * d]
+        self.terminal_vertices = np.stack([end.real, end.imag], axis=-1)
         if not np.isfinite(f):
             return f, np.full(d, np.inf)
         rows = states.transpose(1, 0, 2).reshape(2 * d + 1, -1)
@@ -561,9 +560,11 @@ def solve_ocp(
         gnorm = float(np.abs(grad).max())
 
     # The last gradient batch was at the returned controls.
+    finite = np.isfinite(f)
     return OcpSolution(
         controls=theta.reshape(n, m),
-        predicted_states=kern.centre_states if np.isfinite(f) else np.tile(x0, (n + 1, 1)),
+        predicted_states=kern.centre_states if finite else np.tile(x0, (n + 1, 1)),
+        terminal_vertices=kern.terminal_vertices if finite else None,
         cost=float(f),
         iterations=iterations,
         status=status,
@@ -595,39 +596,33 @@ def local_controller_h(x_err, poly: PolygonFeatures, cfg: OcpConfig, z: float):
 class RecedingHorizonController:
     """Stateful receding-horizon wrapper: warm start, solve, apply first input.
 
-    The warm start shifts the previous optimal sequence one step and appends
-    the local controller's action at the predicted horizon end. When the
-    measured state is outside the safe set the OCP cannot be posed and the
-    step falls back to the local controller alone (recovery mode).
+    The warm start is the shifted candidate of the stability argument, built
+    from the last accepted solve. When the measured state is outside the
+    safe set the OCP cannot be posed and the step falls back to the local
+    controller alone (recovery mode); a recovery or a failed solve leaves no
+    accepted solve, so the next warm start is zero.
     """
 
     def __init__(self, cfg: OcpConfig, x_des):
         self.cfg = cfg
         self.x_des = np.asarray(x_des, dtype=float)
         self.anchor = RecenteringAnchor(self.x_des, cfg.visibility, cfg.area_bounds)
-        self._prev_controls = None
+        self._prev = None  # the last accepted OcpSolution
 
     def warm_start(self, poly: PolygonFeatures, x0, flow, z: float):
-        """Shift-by-one warm start with a local-controller tail action.
+        """The last accepted solve's controls shifted one step, then the local
+        controller acting on that solve's predicted terminal state and polygon.
 
-        The tail acts on the state and polygon the kernel predicts one step
-        before the horizon end; it is zero where that prediction (shifted
-        plan, zero last input) is infeasible.
+        The polygon takes ``poly``'s reference pair and the controller the
+        altimeter ``z``; ``x0`` and ``flow`` are not read. Zero before any
+        accepted solve.
         """
-        cfg = self.cfg
-        if self._prev_controls is None:
+        cfg, prev = self.cfg, self._prev
+        if prev is None:
             return np.zeros((cfg.n, cfg.n_inputs))
-        shifted = self._prev_controls[1:]
-        kern = _OcpKernel(poly, x0, flow, cfg, self.x_des, self.anchor, z)
-        pred = kern.predict(np.vstack([shifted, np.zeros((1, cfg.n_inputs))]))
-        if pred is None:
-            tail = np.zeros(cfg.n_inputs)
-        else:
-            states, verts = pred
-            k = cfg.n - 1
-            tail_poly = PolygonFeatures(verts[k], poly.reference_pair)
-            tail = local_controller_h(states[k] - self.x_des, tail_poly, cfg, z)
-        return np.vstack([shifted, tail[None]])
+        tail_poly = PolygonFeatures(prev.terminal_vertices, poly.reference_pair)
+        tail = local_controller_h(prev.predicted_states[cfg.n] - self.x_des, tail_poly, cfg, z)
+        return np.vstack([prev.controls[1:], tail[None]])
 
     def step(self, poly: PolygonFeatures, x_meas, flow, z: float) -> StepResult:
         cfg = self.cfg
@@ -640,10 +635,10 @@ class RecedingHorizonController:
         except InfeasibleStart:
             sol = None
         if sol is None or not np.isfinite(sol.cost):
-            self._prev_controls = None
+            self._prev = None
             nu_m = local_controller_h(x_meas - self.x_des, poly, cfg, z)
             return StepResult(nu=self._expand(nu_m), solution=sol, recovered=True)
-        self._prev_controls = sol.controls
+        self._prev = sol
         return StepResult(nu=self._expand(sol.controls[0]), solution=sol, recovered=False)
 
     def _expand(self, nu_masked):

@@ -150,7 +150,7 @@ class SimLog:
     columns: dict  # name -> np.ndarray, keys follow CSV_HEADER order
     meta: dict
     aborted: str | None = None
-    predictions: list = field(default_factory=list)  # per-step predicted states
+    predictions: list = field(default_factory=list)  # (step, predicted states) per accepted solve
     truth: np.ndarray | None = None  # (steps, 4) undisturbed states
 
     @property
@@ -200,7 +200,7 @@ def opening_scene(cfg):
     return target, pose, poly0, diag
 
 
-def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
+def run_scenario(cfg) -> SimLog:
     """Deterministic closed-loop run of one scenario.
 
     ``cfg`` is a :class:`polyservo.config.ScenarioConfig`. Measurement,
@@ -239,8 +239,8 @@ def run_scenario(cfg, collect_predictions: bool = False) -> SimLog:
         res = controller.step(poly, x_meas, flow, z_ctrl)
         consecutive_recoveries = consecutive_recoveries + 1 if res.recovered else 0
         sol = res.solution
-        if collect_predictions and not res.recovered:
-            predictions.append((k_step, sol.predicted_states.copy()))
+        if not res.recovered:
+            predictions.append((k_step, sol.predicted_states))
 
         err = x_meas - cfg.x_des
         eang = np.degrees(np.arctan(x_meas[3]) - np.arctan(cfg.x_des[3]))

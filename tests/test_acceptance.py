@@ -226,7 +226,7 @@ def test_criterion_07_robust_feasibility():
     worst = 0.0
     for seed in range(10):
         cfg = parse_scenario(base, f"robust_{seed}", seed_offset=seed)
-        log = run_scenario(cfg, collect_predictions=True)
+        log = run_scenario(cfg)
         assert log.aborted is None
         assert (log.columns["feasible"][1:] == 1).all(), "post-init recovery triggered"
         for k, pred in log.predictions:

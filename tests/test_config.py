@@ -348,6 +348,17 @@ def test_cli_negative_seed_offset_exits_one_without_traceback(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.json"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_batch_jobs_below_one_exits_one_without_traceback(tmp_path, jobs):
+    (tmp_path / "tiny.json").write_text(json.dumps(tiny_scenario_doc()))
+    (tmp_path / "spec.json").write_text(json.dumps({"scenarios": ["tiny.json"]}))
+    res = _cli("batch", "spec.json", "--jobs", jobs, cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"config error: --jobs must be at least 1, got {jobs}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "tiny.json"]
+
+
 @pytest.mark.parametrize("command", ["run", "batch"])
 def test_unusable_output_directory_exits_one_before_any_work(tmp_path, command):
     (tmp_path / "tiny.json").write_text(json.dumps(tiny_scenario_doc()))

@@ -5,11 +5,11 @@
 polygons, control sequences, target flows and both input masks they must
 give the same cost, reject exactly the same candidates, and a batched
 evaluation must agree row by row with single evaluations; so must the
-centre row of a gradient batch, which gives a solve its cost and predicted
-trajectory. The kernel reuses one buffer per thread for its vertex arrays,
-so what it hands out must survive its later calls, larger batches and
-smaller alike, and kernels run in several threads must give their serial
-results.
+centre row of a gradient batch, which gives a solve its cost, predicted
+trajectory and horizon-end polygon. The kernel reuses one buffer per
+thread for its vertex arrays, so what it hands out must survive its later
+calls, larger batches and smaller alike, and kernels run in several
+threads must give their serial results.
 
 On the same instances, ``solve_ocp`` is held to the invariants the
 receding-horizon argument relies on, whatever the search direction: the
@@ -193,8 +193,12 @@ def test_gradient_centre_row_is_the_single_row_pass(inst, scale):
     assert np.isinf(f) == np.isinf(one)
     if np.isfinite(one):
         assert abs(f - one) <= RTOL * abs(one)
-        pred_states, _ = kern.predict(controls)
-        np.testing.assert_allclose(kern.centre_states, pred_states, rtol=RTOL, atol=ATOL)
+        states, S, *_ = kern.forward(controls[None])
+        end = S[cfg.n, :, 0]
+        np.testing.assert_allclose(kern.centre_states, states[:, 0], rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(
+            kern.terminal_vertices, np.stack([end.real, end.imag], axis=-1), rtol=RTOL, atol=ATOL
+        )
     else:
         assert (grad == np.inf).all()
 
@@ -206,7 +210,7 @@ def test_outputs_survive_later_calls(inst, scale):
     kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
     controls = _controls(rng, cfg, scale)
     kern.gradient(controls.ravel())
-    held = [kern.centre_states, *(kern.predict(controls) or ())]
+    held = [kern.centre_states, kern.terminal_vertices]
     before = [a.tobytes() for a in held]
     other = _controls(rng, cfg, scale)
     kern.gradient(other.ravel())  # 2d+1 rows

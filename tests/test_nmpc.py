@@ -338,30 +338,27 @@ class TestRecedingController:
         warm = ctrl.warm_start(pentagon, x0, None, Z)
         np.testing.assert_array_equal(warm, np.zeros((small_ocp.n, small_ocp.n_inputs)))
 
-    def test_shifted_warm_recomposition_bitexact(self, small_ocp, pentagon):
-        # The solve's prediction is the centre row of the gradient batch at
-        # its controls. Replaying the tail of the plan from its own
-        # predicted first step, through the forward pass the warm start
-        # uses, reproduces that pass's prediction bit for bit. The public
-        # rollout oracle agrees with the solve's prediction to rounding.
+    def test_warm_start_is_the_shifted_candidate(self, small_ocp, pentagon):
+        # The warm start after an accepted solve is its controls shifted one
+        # step, then the local controller acting on its own predicted
+        # terminal state and polygon; the measured state and flow do not
+        # enter. The public rollout oracle agrees with the solve's
+        # prediction to rounding.
         x0 = extract_state(pentagon)
         x_des = x0 + np.array([0.1, -0.06, 0.1, 0.1])
-        sol = solve_ocp(pentagon, x0, None, small_ocp, x_des, Z)
-        a = anchor_for(small_ocp, x_des)
-        kern = _OcpKernel(pentagon, x0, None, small_ocp, x_des, a, Z)
-        kern.gradient(sol.controls.ravel())
-        assert np.array_equal(kern.centre_states, sol.predicted_states)
-        pred_states, pred_verts = kern.predict(sol.controls)
-        shifted = np.vstack([sol.controls[1:], np.zeros((1, small_ocp.n_inputs))])
-        poly1 = PolygonFeatures(pred_verts[1], pentagon.reference_pair)
-        kern1 = _OcpKernel(poly1, pred_states[1], None, small_ocp, x_des, a, Z)
-        states, verts = kern1.predict(shifted)
-        n = small_ocp.n
-        assert np.array_equal(states[: n - 1], pred_states[1:n])
-        assert np.array_equal(verts[: n - 1], pred_verts[1:n])
+        ctrl = RecedingHorizonController(small_ocp, x_des)
+        res = ctrl.step(pentagon, x0, None, Z)
+        assert not res.recovered
+        sol, n = res.solution, small_ocp.n
+        tail_poly = PolygonFeatures(sol.terminal_vertices, pentagon.reference_pair)
+        tail = local_controller_h(sol.predicted_states[n] - x_des, tail_poly, small_ocp, Z)
+        warm = ctrl.warm_start(pentagon, x0, None, Z)
+        assert np.array_equal(warm, np.vstack([sol.controls[1:], tail[None]]))
+        moved = x0 + np.array([0.01, -0.02, 0.03, -0.01])
+        assert np.array_equal(ctrl.warm_start(pentagon, moved, np.array([0.02, -0.01]), Z), warm)
         ref_states, ref_verts = rollout(pentagon, x0, sol.controls, None, small_ocp, Z)
         np.testing.assert_allclose(sol.predicted_states, ref_states, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(pred_verts, ref_verts, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(sol.terminal_vertices, ref_verts[n], rtol=1e-12, atol=1e-15)
 
     def test_recovery_on_infeasible_measurement(self, small_ocp, pentagon):
         x0 = extract_state(pentagon)

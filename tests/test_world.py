@@ -214,7 +214,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(RecedingHorizonController, "step", failing_first_step)
         cfg = parse_scenario(tiny_scenario_doc(duration=0.5), "preds")
-        log = run_scenario(cfg, collect_predictions=True)
+        log = run_scenario(cfg)
         assert log.columns["feasible"][0] == 0
         assert [k for k, _ in log.predictions] == [1, 2, 3, 4]
 
