@@ -1,11 +1,11 @@
-"""Deterministic closed-loop world: pose integration, projection, logging.
+"""Deterministic closed-loop world: pose integration, sensing, logging.
 
 The world is a flat ground plane at z = 0 observed by a camera above it.
 The camera pose integrates applied velocity commands through the SE(3)
-exponential; the target evolves on the plane; vertices project through the
-true pinhole model every step. The additive measurement disturbance enters
-the extracted moment state, matching the disturbed discrete-time system the
-controller is analysed against.
+exponential; the target evolves on the plane. One sensor step a period
+projects the vertices through the true pinhole model, adds the measurement
+disturbance to their moment state (the disturbed discrete-time system the
+controller is analysed against) and reads the altimeter.
 
 Runs are bit-reproducible: all randomness flows from the configured seeds
 and log serialization uses shortest round-trip float formatting.
@@ -31,7 +31,6 @@ __all__ = [
     "CSV_HEADER",
     "step_pose",
     "project_target",
-    "step_world",
     "inject_disturbance",
     "opening_scene",
     "run_scenario",
@@ -113,23 +112,12 @@ def project_target(pose: CameraPose, world_pts):
 
 
 def _project_in_image(pose: CameraPose, world_pts, k: CameraIntrinsics):
-    """:func:`project_target`; raises :class:`TargetLost` off the pixel image."""
-    s, depths = project_target(pose, world_pts)
+    """:func:`project_target`'s vertices; raises :class:`TargetLost` off the pixel image."""
+    s, _ = project_target(pose, world_pts)
     px = normalized_to_pixel(s, k)
     if (px < 0).any() or (px > (k.width, k.height)).any():
         raise TargetLost("target vertex left the image")
-    return s, depths
-
-
-def step_world(pose: CameraPose, target: DeformableTarget, t_next: float, nu6, dt: float, k: CameraIntrinsics):
-    """Advance the pose by the applied command and reproject the target.
-
-    Returns ``(pose', normalized vertices, depths)``. Raises
-    :class:`TargetLost` when a vertex leaves the pixel image.
-    """
-    new_pose = step_pose(pose, nu6, dt)
-    s, depths = _project_in_image(new_pose, target.sample(t_next), k)
-    return new_pose, s, depths
+    return s
 
 
 def inject_disturbance(rng, bound: float):
@@ -137,6 +125,19 @@ def inject_disturbance(rng, bound: float):
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     return rng.uniform(-1.0, 1.0, 4) * bound
+
+
+def _measure(pose: CameraPose, target: DeformableTarget, t: float, cfg, rng):
+    """``(poly, x_meas, z, x_true)`` the camera at ``pose`` senses at time ``t``.
+
+    ``x_meas`` is ``poly``'s state ``x_true`` plus one disturbance draw from
+    ``rng``; ``z`` is the altimeter. Raises :class:`TargetLost` off the image.
+    """
+    s = _project_in_image(pose, target.sample(t), cfg.intrinsics)
+    poly = PolygonFeatures(s, cfg.reference_pair)
+    x_true = extract_state(poly)
+    x_meas = x_true + inject_disturbance(rng, cfg.disturbance_bound)
+    return poly, x_meas, pose.height, x_true
 
 
 @dataclass
@@ -151,7 +152,7 @@ class SimLog:
     meta: dict
     aborted: str | None = None
     predictions: list = field(default_factory=list)  # (step, predicted states) per accepted solve
-    truth: np.ndarray | None = None  # (steps, 4) undisturbed states
+    truth: np.ndarray | None = None  # (steps, 4) states before the sensor's disturbance
 
     @property
     def n_steps(self) -> int:
@@ -178,44 +179,42 @@ def _fmt(v):
 
 
 def opening_scene(cfg):
-    """``(target, pose, poly0, diagnostics)`` a session of ``cfg`` starts from.
+    """``(target, pose, diagnostics)`` a session of ``cfg`` starts from.
 
-    ``poly0`` is the target's true t=0 projection from the level initial
-    pose; the diagnostics are evaluated on it at the camera's height, the
-    depth the controller reads from its altimeter.
-    Raises :class:`TargetLost` when ``poly0`` is not inside the pixel image.
+    The diagnostics are evaluated on the target's true t=0 projection from
+    the level initial pose, at the camera's height (the altimeter's depth).
+    They draw nothing from the disturbance generator, so the sensor's first
+    reading takes its first draw. Raises :class:`TargetLost` when that
+    projection is not inside the pixel image.
     """
     target = DeformableTarget(cfg.target_base, cfg.target_modes, seed=cfg.target_seed)
     target.validate(cfg.duration)
     pose = CameraPose.level(cfg.initial_position, cfg.initial_yaw)
-    s0, _ = _project_in_image(pose, target.sample(0.0), cfg.intrinsics)
-    poly0 = PolygonFeatures(s0, cfg.reference_pair)
+    s0 = _project_in_image(pose, target.sample(0.0), cfg.intrinsics)
     diag = compute_diagnostics(
         cfg.ocp,
         pose.height,
         cfg.x_des,
-        ref_polys=[poly0],
+        ref_polys=[PolygonFeatures(s0, cfg.reference_pair)],
         rng=np.random.default_rng(cfg.disturbance_seed + 1),
     )
-    return target, pose, poly0, diag
+    return target, pose, diag
 
 
 def run_scenario(cfg) -> SimLog:
     """Deterministic closed-loop run of one scenario.
 
-    ``cfg`` is a :class:`polyservo.config.ScenarioConfig`. Measurement,
-    flow estimation, control, world stepping, and logging happen in that
-    order every control period. Aborts (lost target, persistent
-    infeasibility) produce a log with the ``aborted`` reason set instead of
-    raising.
+    ``cfg`` is a :class:`polyservo.config.ScenarioConfig`. Every control
+    period flow estimation and control act on one sensor reading, the step
+    is logged, and the pose moves by the command before the next reading.
+    Aborts (lost target, persistent infeasibility) return the log with the
+    ``aborted`` reason, stamped with the step that caused it, not raise.
     """
-    target, pose, poly, diag = opening_scene(cfg)
+    target, pose, diag = opening_scene(cfg)
     rng = np.random.default_rng(cfg.disturbance_seed)
     dt = cfg.ocp.dt
     n_steps = int(round(cfg.duration / dt))
-
-    x_true = extract_state(poly)
-    x_meas = x_true + inject_disturbance(rng, cfg.disturbance_bound)
+    poly, x_meas, z, x_true = _measure(pose, target, 0.0, cfg, rng)
 
     controller = RecedingHorizonController(cfg.ocp, cfg.x_des)
     estimator = CentroidFlowEstimator() if cfg.estimator == "centroid_fd" else None
@@ -229,14 +228,13 @@ def run_scenario(cfg) -> SimLog:
 
     for k_step in range(n_steps):
         t = k_step * dt
-        z_ctrl = pose.height
 
         flow = None
         if estimator is not None:
-            l_bar = interaction_matrices(poly.vertices, z_ctrl).mean(axis=0)
+            l_bar = interaction_matrices(poly.vertices, z).mean(axis=0)
             flow = estimator.update(x_meas[:2], t, l_bar, prev_nu)
 
-        res = controller.step(poly, x_meas, flow, z_ctrl)
+        res = controller.step(poly, x_meas, flow, z)
         consecutive_recoveries = consecutive_recoveries + 1 if res.recovered else 0
         sol = res.solution
         if not res.recovered:
@@ -244,7 +242,7 @@ def run_scenario(cfg) -> SimLog:
 
         err = x_meas - cfg.x_des
         eang = np.degrees(np.arctan(x_meas[3]) - np.arctan(cfg.x_des[3]))
-        truth_rows.append(x_true.copy())
+        truth_rows.append(x_true)
         rows.append((
             t, *x_meas, *err[:3], eang,
             constraint_L1(x_meas[:2], cfg.ocp.visibility),
@@ -259,16 +257,12 @@ def run_scenario(cfg) -> SimLog:
             aborted = f"unrecoverable infeasibility at t={t:.3f}"
             break
 
+        pose = step_pose(pose, res.nu, dt)
         try:
-            pose, s_true, _ = step_world(
-                pose, target, (k_step + 1) * dt, res.nu, dt, cfg.intrinsics
-            )
+            poly, x_meas, z, x_true = _measure(pose, target, (k_step + 1) * dt, cfg, rng)
         except TargetLost as exc:
             aborted = f"{exc} at t={t:.3f}"
             break
-        poly = PolygonFeatures(s_true, cfg.reference_pair)
-        x_true = extract_state(poly)
-        x_meas = x_true + inject_disturbance(rng, cfg.disturbance_bound)
         prev_nu = res.nu
 
     names = CSV_HEADER.split(",")

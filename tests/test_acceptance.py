@@ -37,7 +37,7 @@ from polyservo.nmpc import (
 )
 from polyservo.polygon import dynamics_matrix, propagate_discrete
 from polyservo.targets import CentroidFlowEstimator, DeformableTarget
-from polyservo.world import CameraPose, project_target, run_scenario, step_world
+from polyservo.world import CameraPose, project_target, run_scenario, step_pose
 from polyservo.analysis import convergence_ok, steady_state_error
 from conftest import central_diff_vertices, random_polygon
 
@@ -290,9 +290,8 @@ def test_criterion_09_receding_step_performance():
         t0 = time.perf_counter()
         res = controller.step(poly, x, flow, z)
         times.append(time.perf_counter() - t0)
-        pose, s, _ = step_world(
-            pose, target, (k + 1) * cfg.ocp.dt, res.nu, cfg.ocp.dt, cfg.intrinsics
-        )
+        pose = step_pose(pose, res.nu, cfg.ocp.dt)
+        s, _ = project_target(pose, target.sample((k + 1) * cfg.ocp.dt))
         x = extract_state(PolygonFeatures(s, cfg.reference_pair))
         nu_prev = res.nu
     median_ms = float(np.median(times) * 1e3)

@@ -19,7 +19,6 @@ from polyservo.world import (
     project_target,
     run_scenario,
     step_pose,
-    step_world,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -78,12 +77,8 @@ class TestPoseAndProjection:
     def test_static_projection_stable(self):
         pose = CameraPose.level([0.0, 0.0, 2.0], 0.0)
         tgt = DeformableTarget(SQUARE_W)
-        _, s1, _ = step_world(
-            pose, tgt, 0.1, np.zeros(6), 0.1, _intrinsics()
-        )
-        _, s2, _ = step_world(
-            pose, tgt, 0.2, np.zeros(6), 0.1, _intrinsics()
-        )
+        s1, _ = project_target(step_pose(pose, np.zeros(6), 0.1), tgt.sample(0.1))
+        s2, _ = project_target(step_pose(pose, np.zeros(6), 0.1), tgt.sample(0.2))
         np.testing.assert_array_equal(s1, s2)
 
     def test_pure_yaw_preserves_projected_area(self):
@@ -198,6 +193,24 @@ class TestRunScenario:
             out.append(p.read_bytes())
         assert out[0] == out[1]
 
+    def test_sensor_state_is_truth_plus_one_draw_per_step(self):
+        cfg = parse_scenario(
+            tiny_scenario_doc(disturbance={"bound": 0.002, "seed": 7}, duration=1.5), "sensor"
+        )
+        log = run_scenario(cfg)
+        assert log.aborted is None
+        rng = np.random.default_rng(7)
+        seen = np.column_stack([log.columns[n] for n in ("sx", "sy", "sigbar", "abar")])
+        for k in range(log.n_steps):
+            np.testing.assert_array_equal(
+                seen[k], log.truth[k] + rng.uniform(-1.0, 1.0, 4) * 0.002
+            )
+        target, pose = opening_scene(cfg)[:2]
+        s0, _ = project_target(pose, target.sample(0.0))
+        np.testing.assert_array_equal(
+            log.truth[0], extract_state(PolygonFeatures(s0, cfg.reference_pair))
+        )
+
     def test_predictions_only_from_accepted_solves(self, monkeypatch):
         # Step 0 recovers from a failed solve, whose predicted states are
         # the measured state repeated; no one-step audit may read them.
@@ -237,8 +250,10 @@ class TestRunScenario:
         doc["ocp"]["nu_max"] = [0.05, 0.05, 0.05]
         cfg = parse_scenario(doc, "lost")
         log = run_scenario(cfg)
-        assert log.aborted is not None
-        assert "image" in log.aborted or "infeasibility" in log.aborted
+        # Stamped with the time of the command that moved the camera.
+        assert log.aborted == "target vertex left the image at t=1.000"
+        assert log.n_steps == 11 and log.columns["feasible"].tolist() == [1] * 11
+        assert log.truth.shape == (11, 4)
 
     def test_sidecar_contents(self, tmp_path):
         cfg = parse_scenario(tiny_scenario_doc(duration=1.2), "meta")
@@ -316,12 +331,6 @@ def test_opening_frame_outside_image_is_target_lost():
     # polygon the camera cannot see.
     with pytest.raises(TargetLost, match="left the image"):
         opening_scene(parse_scenario(off_image_doc(), "off_image"))
-
-
-def _intrinsics():
-    from polyservo.camera import CameraIntrinsics
-
-    return CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
 
 def _area(pts):
