@@ -4,18 +4,23 @@ The decision variable is the stacked sequence of masked velocity commands
 over the horizon. The cost is the quadratic tracking/effort sum plus the
 recentered state barrier and the input saturation barrier at every stage,
 with a quadratic terminal term. Minimization takes generalized Gauss-Newton
-steps with an Armijo backtracking line search. Each solver point is rolled
-out once, in one batch with the controls moved each way in each
-coordinate: its centre row gives the solve's opening cost and predicted
-trajectory, and the batch's states and constraint values are differenced
-once into a Jacobian; the gradient is that Jacobian times the cost's slope
-in them, and the Gauss-Newton matrix weights it by each term's curvature.
-The input terms enter both exactly. Every weight and the input curvature
-are positive, so the matrix is positive definite and the step needs no
-damping.
-Barrier blowup makes the cost +inf outside the safe set, which the line
-search treats as an automatic rejection, so accepted iterates are always
-strictly interior.
+steps with an Armijo line search. Each solver point is rolled out once, in
+one batch with the controls moved each way in each coordinate: its centre
+row gives the point's cost and predicted trajectory, and the batch's states
+and constraint values are differenced once into a Jacobian; the gradient is
+that Jacobian times the cost's slope in them, and the Gauss-Newton matrix
+weights it by each term's curvature. The input terms enter both exactly.
+Every weight and the input curvature are positive, so the matrix is
+positive definite and the step needs no damping.
+
+The full step is tried first, as the next gradient batch: when it passes
+Armijo, that one kernel call gives the next iterate's cost, prediction and
+derivatives, and near the solution it nearly always passes. Only a
+rejected full step starts the backtracking ladder, at t = 1/2, with a whole
+batch of shorter steps per kernel call, and then rolls out the gradient
+batch at the step it accepts. Barrier blowup makes the cost +inf outside
+the safe set, which the line search treats as an automatic rejection, so
+accepted iterates are always strictly interior.
 
 The controller has one rollout, the private ``_OcpKernel``: a batched
 forward pass that writes image points as complex numbers, steps every
@@ -97,7 +102,10 @@ __all__ = [
 _FD_STEP = 1e-6  # difference step of the rollout outputs behind both derivatives
 _ARMIJO_C1 = 1e-4  # sufficient-decrease factor of the line search
 _BACKTRACK = 0.5  # step-length ratio of the line search
-_MAX_LS_STEPS = 30  # step lengths tried before a solve stops with no_descent
+# Step lengths tried before a solve stops with no_descent: t = 1 as the next
+# gradient batch, then, only when that is rejected, the ladder from its
+# second rung (t = 1/2) in batches of 8.
+_MAX_LS_STEPS = 30
 _LS_LADDER = _BACKTRACK ** np.arange(_MAX_LS_STEPS, dtype=float)
 _LS_LADDER.setflags(write=False)
 # Local tail controller: feedback gain, pseudo-inverse damping, and the
@@ -528,6 +536,9 @@ def solve_ocp(
     status = "max_iters" if np.isfinite(f) else "no_descent"
     iterations = 0
     gnorm = float(np.abs(grad).max())
+    # The prediction at the accepted controls. A rejected full step's batch
+    # overwrites the kernel's, so it is held here, not read back at the end.
+    states, verts = kern.centre_states, kern.terminal_vertices
     while status == "max_iters":
         if gnorm <= sp.grad_tol:
             status = "converged"
@@ -541,30 +552,36 @@ def solve_ocp(
             status = "no_descent"
             break
 
-        # Armijo backtracking, whole ladder of step lengths per batch.
-        t, fc = None, None
-        for start in range(0, _MAX_LS_STEPS, 8):
-            ts = _LS_LADDER[start : start + 8]
-            cands = theta[None] + ts[:, None] * d[None]
-            fs = kern.cost(cands.reshape(-1, n, m))
-            ok = np.isfinite(fs) & (fs <= f + _ARMIJO_C1 * ts * slope)
-            if ok.any():
-                j = int(np.argmax(ok))  # largest passing step
-                t, fc = float(ts[j]), float(fs[j])
+        # The full step first, as the next gradient batch: accepted, it
+        # gives the next iterate's cost and gradient in the same call.
+        fc, gc = kern.gradient(theta + d)
+        if np.isfinite(fc) and fc <= f + _ARMIJO_C1 * slope:
+            theta, f, grad = theta + d, fc, gc
+        else:
+            # Armijo backtracking from t = 1/2, whole ladder of step lengths per batch.
+            t = None
+            for start in range(1, _MAX_LS_STEPS, 8):
+                ts = _LS_LADDER[start : start + 8]
+                cands = theta[None] + ts[:, None] * d[None]
+                fs = kern.cost(cands.reshape(-1, n, m))
+                ok = np.isfinite(fs) & (fs <= f + _ARMIJO_C1 * ts * slope)
+                if ok.any():
+                    j = int(np.argmax(ok))  # largest passing step
+                    t, fc = float(ts[j]), float(fs[j])
+                    break
+            if t is None:
+                status = "no_descent"
                 break
-        if t is None:
-            status = "no_descent"
-            break
-        theta, f = theta + t * d, fc
-        grad = kern.gradient(theta)[1]
+            theta, f = theta + t * d, fc
+            grad = kern.gradient(theta)[1]
+        states, verts = kern.centre_states, kern.terminal_vertices
         gnorm = float(np.abs(grad).max())
 
-    # The last gradient batch was at the returned controls.
     finite = np.isfinite(f)
     return OcpSolution(
         controls=theta.reshape(n, m),
-        predicted_states=kern.centre_states if finite else np.tile(x0, (n + 1, 1)),
-        terminal_vertices=kern.terminal_vertices if finite else None,
+        predicted_states=states if finite else np.tile(x0, (n + 1, 1)),
+        terminal_vertices=verts if finite else None,
         cost=float(f),
         iterations=iterations,
         status=status,

@@ -23,6 +23,13 @@ symmetric positive definite and gives a descent step without damping; at
 solved controls, a coordinate whose difference leaves the safe set has no
 off-diagonal entry. When no step length passes the line search, the solve
 says so with ``no_descent`` and returns its warm start unchanged.
+
+The line search tries the full step first, as the next gradient batch, so a
+solve whose every step is full makes one kernel call per iteration, all of
+gradient batches. Only a rejected full step starts the batched ladder, at
+t = 1/2. A rejected full step's batch is rolled out after the point the
+solve keeps, so every solve must return the prediction of its own
+controls, bit for bit the centre row of a fresh gradient batch there.
 """
 
 import sys
@@ -180,6 +187,10 @@ def test_solve_ocp_invariants(inst, scale, warm):
     if np.isfinite(sol.cost):
         _, grad = kern.gradient(sol.controls.ravel())
         assert sol.grad_norm == np.abs(grad).max()
+        # The prediction is the returned controls' own, not that of a
+        # rejected full step rolled out after them.
+        assert np.array_equal(sol.predicted_states, kern.centre_states)
+        assert np.array_equal(sol.terminal_vertices, kern.terminal_vertices)
 
 
 @PROPS
@@ -252,6 +263,19 @@ def test_kernels_in_threads_match_serial_results():
     assert mismatches == []
 
 
+def _counted_cost(monkeypatch):
+    """Record the controls of every ``_OcpKernel.cost`` batch."""
+    batches = []
+    cost = _OcpKernel.cost
+
+    def counted(self, controls):
+        batches.append(controls.reshape(len(controls), -1).copy())
+        return cost(self, controls)
+
+    monkeypatch.setattr(_OcpKernel, "cost", counted)
+    return batches
+
+
 @pytest.mark.parametrize("warm, batches", [(None, 1), ("zero", 1), ("nonzero", 2)])
 def test_infeasible_start_is_retried_from_zero_only_once(warm, batches, monkeypatch):
     """A target flow that carries the polygon out of view makes every start
@@ -267,14 +291,7 @@ def test_infeasible_start_is_retried_from_zero_only_once(warm, batches, monkeypa
         "zero": np.zeros((cfg.n, cfg.n_inputs)),
         "nonzero": _controls(rng, cfg, 0.1),
     }[warm]
-    calls = []
-    cost = _OcpKernel.cost
-
-    def counted(self, controls):
-        calls.append(len(controls))
-        return cost(self, controls)
-
-    monkeypatch.setattr(_OcpKernel, "cost", counted)
+    calls = _counted_cost(monkeypatch)
     flow = np.array([5.0, 0.0])
     sol = solve_ocp(poly, x0, flow, cfg, x0, Z, warm_start=warm_start, anchor=anchor)
     assert len(calls) == batches
@@ -360,10 +377,52 @@ def test_solve_ocp_reports_no_descent(uav, monkeypatch):
     x_des = x0 + np.array([0.05, -0.04, 0.1, 0.1])
     anchor = RecenteringAnchor(x_des, cfg.visibility, cfg.area_bounds)
     warm = _controls(rng, cfg, 0.1)
-    warm_cost, _ = _OcpKernel(poly, x0, None, cfg, x_des, anchor, Z).gradient(warm.ravel())
+    kern = _OcpKernel(poly, x0, None, cfg, x_des, anchor, Z)
+    warm_cost, _ = kern.gradient(warm.ravel())
     monkeypatch.setattr(nmpc, "_ARMIJO_C1", 2.0)
     sol = solve_ocp(poly, x0, None, cfg, x_des, Z, warm_start=warm, anchor=anchor)
     assert sol.status == "no_descent"
     assert sol.iterations == 1
     assert np.array_equal(sol.controls, warm)
     assert sol.cost == warm_cost
+    # Its prediction is the warm start's, although the rejected full step's
+    # gradient batch ran after it.
+    assert np.array_equal(sol.predicted_states, kern.centre_states)
+    assert np.array_equal(sol.terminal_vertices, kern.terminal_vertices)
+
+
+def test_full_steps_make_one_kernel_call_per_iteration(small_ocp, pentagon, monkeypatch):
+    """A solve whose every step is full rolls out only gradient batches:
+    the opening one, then one per iteration at the full step."""
+    x0 = extract_state(pentagon)
+    x_des = x0 + np.array([0.12, -0.08, 0.0, 0.0])
+    batches = _counted_cost(monkeypatch)
+    sol = solve_ocp(pentagon, x0, None, small_ocp, x_des, Z)
+    assert sol.status == "converged" and sol.iterations > 1
+    d = small_ocp.n * small_ocp.n_inputs
+    assert [len(b) for b in batches] == [2 * d + 1] * (sol.iterations + 1)
+    assert np.array_equal(batches[-1][2 * d], sol.controls.ravel())
+
+
+def test_rejected_full_step_backtracks_from_half(small_ocp, pentagon, monkeypatch):
+    """On a near-quadratic cost the full step gives about half the model's
+    decrease, so a sufficient-decrease factor of 0.6 rejects t = 1: the
+    ladder's first batch then starts at t = 1/2, which it accepts, and the
+    gradient batch is rolled out there."""
+    x0 = extract_state(pentagon)
+    x_des = x0 + np.array([0.12, -0.08, 0.0, 0.0])
+    anchor = RecenteringAnchor(x_des, small_ocp.visibility, small_ocp.area_bounds)
+    kern = _OcpKernel(pentagon, x0, None, small_ocp, x_des, anchor, Z)
+    f0, grad = kern.gradient(np.zeros(small_ocp.n * small_ocp.n_inputs))
+    step = -np.linalg.solve(kern.gauss_newton(), grad)
+    monkeypatch.setattr(nmpc, "_ARMIJO_C1", 0.6)
+    small_ocp.solver.max_iters = 1
+    batches = _counted_cost(monkeypatch)
+    sol = solve_ocp(pentagon, x0, None, small_ocp, x_des, Z, anchor=anchor)
+    d = step.size
+    assert [len(b) for b in batches] == [2 * d + 1, 2 * d + 1, 8, 2 * d + 1]
+    assert np.array_equal(batches[1][2 * d], step)  # the rejected full step
+    np.testing.assert_array_equal(batches[2], 0.5 ** np.arange(1, 9)[:, None] * step)
+    assert np.array_equal(sol.controls.ravel(), 0.5 * step)
+    assert np.array_equal(batches[3][2 * d], 0.5 * step)
+    assert sol.iterations == 1 and sol.cost < f0
