@@ -13,14 +13,16 @@ weights it by each term's curvature. The input terms enter both exactly.
 Every weight and the input curvature are positive, so the matrix is
 positive definite and the step needs no damping.
 
-The full step is tried first, as the next gradient batch: when it passes
-Armijo, that one kernel call gives the next iterate's cost, prediction and
-derivatives, and near the solution it nearly always passes. Only a
-rejected full step starts the backtracking ladder, at t = 1/2, with a whole
-batch of shorter steps per kernel call, and then rolls out the gradient
-batch at the step it accepts. Barrier blowup makes the cost +inf outside
-the safe set, which the line search treats as an automatic rejection, so
-accepted iterates are always strictly interior.
+Each iterate is one solver point, all from the gradient batch at its
+controls: its cost, gradient, predicted trajectory and horizon-end polygon,
+and the factors of its Gauss-Newton matrix. The full step is tried first,
+as the next gradient batch: when it passes Armijo, that one kernel call is
+the next point, and near the solution it nearly always passes. A rejected
+full step rolls out the whole backtracking ladder, t = 1/2 ... 2^-29, in
+one batch; the gradient batch at the largest passing step is the next point.
+Barrier blowup makes the cost +inf outside the safe set, which the line
+search treats as an automatic rejection, so accepted iterates are always
+strictly interior.
 
 The controller has one rollout, the private ``_OcpKernel``: a batched
 forward pass that writes image points as complex numbers, steps every
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,12 +104,9 @@ __all__ = [
 # Fixed numerical constants of the method; scenarios do not set them.
 _FD_STEP = 1e-6  # difference step of the rollout outputs behind both derivatives
 _ARMIJO_C1 = 1e-4  # sufficient-decrease factor of the line search
-_BACKTRACK = 0.5  # step-length ratio of the line search
-# Step lengths tried before a solve stops with no_descent: t = 1 as the next
-# gradient batch, then, only when that is rejected, the ladder from its
-# second rung (t = 1/2) in batches of 8.
-_MAX_LS_STEPS = 30
-_LS_LADDER = _BACKTRACK ** np.arange(_MAX_LS_STEPS, dtype=float)
+# The step lengths a rejected full step falls back to, all in one batch,
+# before the solve stops with no_descent: t = 1/2 ... 2^-29.
+_LS_LADDER = 0.5 ** np.arange(1, 30)
 _LS_LADDER.setflags(write=False)
 # Local tail controller: feedback gain, pseudo-inverse damping, and the
 # command bound as a fraction of the input limits.
@@ -299,8 +299,20 @@ def _flow_array(flow, n):
     return flow.reshape(n, 2)
 
 
+class _Point(NamedTuple):
+    """One solver iterate, all from the gradient batch at its controls."""
+
+    theta: np.ndarray  # (d,) flattened masked controls
+    cost: float  # +inf where the rollout is rejected
+    grad: np.ndarray  # (d,); all +inf where the cost is
+    states: np.ndarray  # (n+1, 4) predicted trajectory
+    terminal_vertices: np.ndarray  # (N, 2) predicted at step n
+    jac: np.ndarray | None  # (d, K) differenced outputs, wall rows zeroed
+    weights: np.ndarray | None  # (K,) curvature of each output
+
+
 class _OcpKernel:
-    """Batched horizon cost and prediction bound to one OCP instance.
+    """Batched horizon cost and solver points bound to one OCP instance.
 
     Image points are complex numbers s = x + iy. Under the masked twist u
     the vertex flow is ``s*(a + Re(s*w)) + b`` with per-row complex
@@ -311,10 +323,11 @@ class _OcpKernel:
     the shoelace sum is ``Im(conj(s)*s_next)``, and the area and angle rows
     are one complex product each.
 
-    This forward pass is the controller's only rollout: the solver's costs
-    and derivatives, its predicted trajectory and its horizon-end polygon
-    (a :meth:`gradient` batch's centre row) all come from :meth:`forward`.
-    The public :func:`rollout`/:func:`total_cost` path through
+    This forward pass is the controller's only rollout: the line search's
+    costs and each solver point that :meth:`gradient` returns, with its
+    derivatives, predicted trajectory and horizon-end polygon, all come
+    from :meth:`forward`. The kernel keeps no per-point state. The public
+    :func:`rollout`/:func:`total_cost` path through
     :func:`propagate_discrete` shares none of this code and is the
     independent oracle: the two agree to about 1e-12 relative and reject
     exactly the same candidates.
@@ -421,7 +434,7 @@ class _OcpKernel:
         """Total cost for a batch of control sequences (B, n, M) -> (B,).
 
         The batch's states, horizon-end vertices (scratch), constraint values
-        and rejected rows stay in ``_pass``.
+        and rejected rows are handed to :meth:`gradient` in ``_pass``.
         """
         cfg, n = self.cfg, self.cfg.n
         states, S, l1, l2, bad = self.forward(controls)
@@ -438,21 +451,21 @@ class _OcpKernel:
             cost = np.where(bad, np.inf, cost)
         return np.where(np.isfinite(cost), cost, np.inf)
 
-    def gradient(self, theta):
-        """Cost and gradient of the cost at the flattened control vector.
+    def gradient(self, theta) -> _Point:
+        """The solver point at the flattened control vector ``theta``.
 
         One batch rolls out ``theta`` moved by +-``_FD_STEP`` in each
-        coordinate, then ``theta`` itself: this centre row gives the cost
-        (+inf, with an all-inf gradient, where it is rejected), and its
-        states and horizon-end vertices (N, 2) stay in ``centre_states`` and
-        ``terminal_vertices``. The outputs, the states of every stage and
-        ``l1``, ``l2`` of stages 0..n-1, are differenced once into
-        ``J (d, K)``: centrally where both sides are kept, one-sided where
-        :meth:`forward` rejects one side, zero where it rejects both. The
-        gradient is ``J`` times the cost's slope in those outputs plus the
-        input terms' exact slope. ``J`` with every row that has a rejected
-        side zeroed stays for :meth:`gauss_newton`, with each output's
-        curvature weight (2q, 2p at the end, 2/l^3) at ``theta``.
+        coordinate, then ``theta`` itself: this centre row gives the point's
+        cost (+inf, with an all-inf gradient and no Gauss-Newton factors,
+        where it is rejected), its states and its horizon-end vertices. The
+        outputs, the states of every stage and ``l1``, ``l2`` of stages
+        0..n-1, are differenced once into ``J (d, K)``: centrally where both
+        sides are kept, one-sided where :meth:`forward` rejects one side,
+        zero where it rejects both. The gradient is ``J`` times the cost's
+        slope in those outputs plus the input terms' exact slope. The point
+        keeps ``J`` with every row that has a rejected side zeroed, and each
+        output's curvature weight (2q, 2p at the end, 2/l^3), for
+        :meth:`gauss_newton`.
         """
         cfg, n, d = self.cfg, self.cfg.n, theta.size
         pert = np.repeat(theta[None], 2 * d + 1, axis=0)
@@ -461,11 +474,11 @@ class _OcpKernel:
         pert[d + idx, idx] -= _FD_STEP
         f = float(self.cost(pert.reshape(2 * d + 1, n, cfg.n_inputs))[2 * d])
         states, s_end, l1, l2, bad = self._pass
-        self.centre_states = states[:, 2 * d].copy()
+        centre = states[:, 2 * d].copy()
         end = s_end[:, 2 * d]
-        self.terminal_vertices = np.stack([end.real, end.imag], axis=-1)
+        verts = np.stack([end.real, end.imag], axis=-1)
         if not np.isfinite(f):
-            return f, np.full(d, np.inf)
+            return _Point(theta, f, np.full(d, np.inf), centre, verts, None, None)
         rows = states.transpose(1, 0, 2).reshape(2 * d + 1, -1)
         out = np.concatenate([rows, l1[:n].T, l2[:n].T], axis=1)
         # A rejected side takes theta's own outputs (a one-sided difference
@@ -475,26 +488,25 @@ class _OcpKernel:
         lo = np.where(bad[d : 2 * d, None], out[2 * d], out[d : 2 * d])
         jac = (hi - lo) / np.where(wall, _FD_STEP, 2.0 * _FD_STEP)[:, None]
 
-        slope_x = self.w_state * (self.centre_states - self.x_des)
+        slope_x = self.w_state * (centre - self.x_des)
         slope_x[:n] -= self.grad_sum
         l_now = out[2 * d, 4 * n + 4 :]
         m = self.limits_flat
         grad = jac @ np.concatenate([slope_x.ravel(), -1.0 / l_now**2])
         grad += 2.0 * self.r_flat * theta + 1.0 / (m - theta) ** 2 - 1.0 / (m + theta) ** 2
         jac[wall] = 0.0
-        self._gn = (theta, jac, np.concatenate([self.w_state.ravel(), 2.0 / l_now**3]))
-        return f, grad
+        weights = np.concatenate([self.w_state.ravel(), 2.0 / l_now**3])
+        return _Point(theta, f, grad, centre, verts, jac, weights)
 
-    def gauss_newton(self):
-        """Generalized Gauss-Newton matrix of the cost at the last gradient's point.
+    def gauss_newton(self, pt: _Point):
+        """Generalized Gauss-Newton matrix of the cost at a finite point.
 
-        The state and barrier terms are ``J diag(w) J^T`` from :meth:`gradient`;
-        the input terms add their exact curvature on the diagonal.
+        The state and barrier terms are ``J diag(w) J^T`` from the point's
+        factors; the input terms add their exact curvature on the diagonal.
         """
-        u, jac, w = self._gn
-        m = self.limits_flat
+        m, u = self.limits_flat, pt.theta
         curv_u = 2.0 * self.r_flat + 2.0 / (m - u) ** 3 + 2.0 / (m + u) ** 3
-        return (jac * w) @ jac.T + np.diag(curv_u)
+        return (pt.jac * pt.weights) @ pt.jac.T + np.diag(curv_u)
 
 
 def solve_ocp(
@@ -527,65 +539,49 @@ def solve_ocp(
     n, m = cfg.n, cfg.n_inputs
 
     theta = np.zeros(n * m) if warm_start is None else np.array(warm_start, float).reshape(n * m)
-    f, grad = kern.gradient(theta)
-    if not np.isfinite(f) and theta.any():
-        theta = np.zeros(n * m)
-        f, grad = kern.gradient(theta)
+    pt = kern.gradient(theta)
+    if not np.isfinite(pt.cost) and theta.any():
+        pt = kern.gradient(np.zeros(n * m))
 
     sp = cfg.solver
-    status = "max_iters" if np.isfinite(f) else "no_descent"
+    status = "max_iters" if np.isfinite(pt.cost) else "no_descent"
     iterations = 0
-    gnorm = float(np.abs(grad).max())
-    # The prediction at the accepted controls. A rejected full step's batch
-    # overwrites the kernel's, so it is held here, not read back at the end.
-    states, verts = kern.centre_states, kern.terminal_vertices
     while status == "max_iters":
-        if gnorm <= sp.grad_tol:
+        if np.abs(pt.grad).max() <= sp.grad_tol:
             status = "converged"
             break
         if iterations == sp.max_iters:
             break
         iterations += 1
-        d = -np.linalg.solve(kern.gauss_newton(), grad)
-        slope = float(grad @ d)
+        d = -np.linalg.solve(kern.gauss_newton(pt), pt.grad)
+        slope = float(pt.grad @ d)
         if not slope < 0.0:
             status = "no_descent"
             break
 
-        # The full step first, as the next gradient batch: accepted, it
-        # gives the next iterate's cost and gradient in the same call.
-        fc, gc = kern.gradient(theta + d)
-        if np.isfinite(fc) and fc <= f + _ARMIJO_C1 * slope:
-            theta, f, grad = theta + d, fc, gc
-        else:
-            # Armijo backtracking from t = 1/2, whole ladder of step lengths per batch.
-            t = None
-            for start in range(1, _MAX_LS_STEPS, 8):
-                ts = _LS_LADDER[start : start + 8]
-                cands = theta[None] + ts[:, None] * d[None]
-                fs = kern.cost(cands.reshape(-1, n, m))
-                ok = np.isfinite(fs) & (fs <= f + _ARMIJO_C1 * ts * slope)
-                if ok.any():
-                    j = int(np.argmax(ok))  # largest passing step
-                    t, fc = float(ts[j]), float(fs[j])
-                    break
-            if t is None:
-                status = "no_descent"
-                break
-            theta, f = theta + t * d, fc
-            grad = kern.gradient(theta)[1]
-        states, verts = kern.centre_states, kern.terminal_vertices
-        gnorm = float(np.abs(grad).max())
+        # The full step first, as the next point. Rejected (an infinite cost
+        # fails Armijo too), the whole ladder goes in one batch, and the next
+        # point is at its largest passing step.
+        full = kern.gradient(pt.theta + d)
+        if full.cost <= pt.cost + _ARMIJO_C1 * slope:
+            pt = full
+            continue
+        fs = kern.cost((pt.theta + _LS_LADDER[:, None] * d).reshape(-1, n, m))
+        ok = fs <= pt.cost + _ARMIJO_C1 * _LS_LADDER * slope
+        if not ok.any():
+            status = "no_descent"
+            break
+        pt = kern.gradient(pt.theta + _LS_LADDER[np.argmax(ok)] * d)
 
-    finite = np.isfinite(f)
+    finite = np.isfinite(pt.cost)
     return OcpSolution(
-        controls=theta.reshape(n, m),
-        predicted_states=states if finite else np.tile(x0, (n + 1, 1)),
-        terminal_vertices=verts if finite else None,
-        cost=float(f),
+        controls=pt.theta.reshape(n, m),
+        predicted_states=pt.states if finite else np.tile(x0, (n + 1, 1)),
+        terminal_vertices=pt.terminal_vertices if finite else None,
+        cost=pt.cost,
         iterations=iterations,
         status=status,
-        grad_norm=gnorm,
+        grad_norm=float(np.abs(pt.grad).max()),
     )
 
 

@@ -5,11 +5,11 @@
 polygons, control sequences, target flows and both input masks they must
 give the same cost, reject exactly the same candidates, and a batched
 evaluation must agree row by row with single evaluations; so must the
-centre row of a gradient batch, which gives a solve its cost, predicted
-trajectory and horizon-end polygon. The kernel reuses one buffer per
-thread for its vertex arrays, so what it hands out must survive its later
-calls, larger batches and smaller alike, and kernels run in several
-threads must give their serial results.
+centre row of a gradient batch, which gives a solver point its cost,
+predicted trajectory and horizon-end polygon. The kernel reuses one buffer
+per thread for its vertex arrays, so the points it hands out must survive
+its later calls, larger batches and smaller alike, and kernels run in
+several threads must give their serial results.
 
 On the same instances, ``solve_ocp`` is held to the invariants the
 receding-horizon argument relies on, whatever the search direction: the
@@ -24,12 +24,13 @@ solved controls, a coordinate whose difference leaves the safe set has no
 off-diagonal entry. When no step length passes the line search, the solve
 says so with ``no_descent`` and returns its warm start unchanged.
 
-The line search tries the full step first, as the next gradient batch, so a
-solve whose every step is full makes one kernel call per iteration, all of
-gradient batches. Only a rejected full step starts the batched ladder, at
-t = 1/2. A rejected full step's batch is rolled out after the point the
-solve keeps, so every solve must return the prediction of its own
-controls, bit for bit the centre row of a fresh gradient batch there.
+Each iterate is one solver point, so every solve returns the cost and
+prediction of its own controls, bit for bit those of a fresh gradient
+batch there. The line search tries the full step first, as the next
+point, so a solve whose every step is full makes one kernel call per
+iteration, all of gradient batches. A rejected full step rolls out the
+whole ladder, t = 1/2 ... 2^-29, in one batch, and the next point is the
+gradient batch at its largest passing step.
 """
 
 import sys
@@ -185,12 +186,13 @@ def test_solve_ocp_invariants(inst, scale, warm):
     assert np.isfinite(sol.controls).all()
     assert (np.abs(sol.controls) < cfg.masked_limits).all()
     if np.isfinite(sol.cost):
-        _, grad = kern.gradient(sol.controls.ravel())
-        assert sol.grad_norm == np.abs(grad).max()
-        # The prediction is the returned controls' own, not that of a
-        # rejected full step rolled out after them.
-        assert np.array_equal(sol.predicted_states, kern.centre_states)
-        assert np.array_equal(sol.terminal_vertices, kern.terminal_vertices)
+        pt = kern.gradient(sol.controls.ravel())
+        assert sol.grad_norm == np.abs(pt.grad).max()
+        # The cost and prediction are the returned controls' own, not those
+        # of a ladder row or of a rejected full step rolled out after them.
+        assert sol.cost == pt.cost
+        assert np.array_equal(sol.predicted_states, pt.states)
+        assert np.array_equal(sol.terminal_vertices, pt.terminal_vertices)
 
 
 @PROPS
@@ -200,18 +202,19 @@ def test_gradient_centre_row_is_the_single_row_pass(inst, scale):
     kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
     controls = _controls(rng, cfg, scale)
     one = kern.cost(controls[None])[0]
-    f, grad = kern.gradient(controls.ravel())
-    assert np.isinf(f) == np.isinf(one)
+    pt = kern.gradient(controls.ravel())
+    assert np.isinf(pt.cost) == np.isinf(one)
     if np.isfinite(one):
-        assert abs(f - one) <= RTOL * abs(one)
+        assert abs(pt.cost - one) <= RTOL * abs(one)
         states, S, *_ = kern.forward(controls[None])
         end = S[cfg.n, :, 0]
-        np.testing.assert_allclose(kern.centre_states, states[:, 0], rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(pt.states, states[:, 0], rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(
-            kern.terminal_vertices, np.stack([end.real, end.imag], axis=-1), rtol=RTOL, atol=ATOL
+            pt.terminal_vertices, np.stack([end.real, end.imag], axis=-1), rtol=RTOL, atol=ATOL
         )
     else:
-        assert (grad == np.inf).all()
+        assert (pt.grad == np.inf).all()
+        assert pt.jac is None and pt.weights is None
 
 
 @settings(PROPS, max_examples=50)
@@ -220,8 +223,8 @@ def test_outputs_survive_later_calls(inst, scale):
     poly, x0, flow, cfg, x_des, anchor, rng = inst
     kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
     controls = _controls(rng, cfg, scale)
-    kern.gradient(controls.ravel())
-    held = [kern.centre_states, kern.terminal_vertices]
+    pt = kern.gradient(controls.ravel())
+    held = [a for a in pt if isinstance(a, np.ndarray)]
     before = [a.tobytes() for a in held]
     other = _controls(rng, cfg, scale)
     kern.gradient(other.ravel())  # 2d+1 rows
@@ -326,8 +329,8 @@ def test_gauss_newton_matrix_gives_descent(inst, scale, at_limit):
     fd = (cp - cm) / (2.0 * _FD_STEP)
     assert not (at_limit and both.all())
 
-    _, grad = kern.gradient(theta)
-    H = kern.gauss_newton()
+    pt = kern.gradient(theta)
+    grad, H = pt.grad, kern.gauss_newton(pt)
     if both.any():
         scale_fd = np.abs(fd[both]).max()
         np.testing.assert_allclose(grad[both], fd[both], rtol=1e-5, atol=1e-4 * scale_fd)
@@ -357,8 +360,7 @@ def test_gauss_newton_matrix_drops_wall_coordinates(inst, scale, warm):
     assume(np.isfinite(sol.cost))
     kern = _OcpKernel(poly, x0, flow, cfg, x_des, anchor, Z)
     theta = sol.controls.ravel()
-    kern.gradient(theta)
-    H = kern.gauss_newton()
+    H = kern.gauss_newton(kern.gradient(theta))
     bad = kern.forward(_fd_batch(theta, cfg))[4]
     wall = bad[: theta.size] | bad[theta.size :]
     off_diag = H - np.diag(np.diag(H))
@@ -378,17 +380,17 @@ def test_solve_ocp_reports_no_descent(uav, monkeypatch):
     anchor = RecenteringAnchor(x_des, cfg.visibility, cfg.area_bounds)
     warm = _controls(rng, cfg, 0.1)
     kern = _OcpKernel(poly, x0, None, cfg, x_des, anchor, Z)
-    warm_cost, _ = kern.gradient(warm.ravel())
+    start = kern.gradient(warm.ravel())
     monkeypatch.setattr(nmpc, "_ARMIJO_C1", 2.0)
     sol = solve_ocp(poly, x0, None, cfg, x_des, Z, warm_start=warm, anchor=anchor)
     assert sol.status == "no_descent"
     assert sol.iterations == 1
     assert np.array_equal(sol.controls, warm)
-    assert sol.cost == warm_cost
+    assert sol.cost == start.cost
     # Its prediction is the warm start's, although the rejected full step's
     # gradient batch ran after it.
-    assert np.array_equal(sol.predicted_states, kern.centre_states)
-    assert np.array_equal(sol.terminal_vertices, kern.terminal_vertices)
+    assert np.array_equal(sol.predicted_states, start.states)
+    assert np.array_equal(sol.terminal_vertices, start.terminal_vertices)
 
 
 def test_full_steps_make_one_kernel_call_per_iteration(small_ocp, pentagon, monkeypatch):
@@ -404,25 +406,27 @@ def test_full_steps_make_one_kernel_call_per_iteration(small_ocp, pentagon, monk
     assert np.array_equal(batches[-1][2 * d], sol.controls.ravel())
 
 
-def test_rejected_full_step_backtracks_from_half(small_ocp, pentagon, monkeypatch):
+@pytest.mark.parametrize("c1, t", [(0.6, 0.5), (0.999, 0.5**9)], ids=["0.6", "0.999"])
+def test_rejected_full_step_backtracks_from_half(c1, t, small_ocp, pentagon, monkeypatch):
     """On a near-quadratic cost the full step gives about half the model's
-    decrease, so a sufficient-decrease factor of 0.6 rejects t = 1: the
-    ladder's first batch then starts at t = 1/2, which it accepts, and the
-    gradient batch is rolled out there."""
+    decrease, so a sufficient-decrease factor ``c1`` above 1/2 rejects
+    t = 1 and passes only t <= 2(1 - c1): the whole ladder, from t = 1/2,
+    is one batch, its largest passing step is taken, and the next gradient
+    batch is rolled out there."""
     x0 = extract_state(pentagon)
     x_des = x0 + np.array([0.12, -0.08, 0.0, 0.0])
     anchor = RecenteringAnchor(x_des, small_ocp.visibility, small_ocp.area_bounds)
     kern = _OcpKernel(pentagon, x0, None, small_ocp, x_des, anchor, Z)
-    f0, grad = kern.gradient(np.zeros(small_ocp.n * small_ocp.n_inputs))
-    step = -np.linalg.solve(kern.gauss_newton(), grad)
-    monkeypatch.setattr(nmpc, "_ARMIJO_C1", 0.6)
+    start = kern.gradient(np.zeros(small_ocp.n * small_ocp.n_inputs))
+    step = -np.linalg.solve(kern.gauss_newton(start), start.grad)
+    monkeypatch.setattr(nmpc, "_ARMIJO_C1", c1)
     small_ocp.solver.max_iters = 1
     batches = _counted_cost(monkeypatch)
     sol = solve_ocp(pentagon, x0, None, small_ocp, x_des, Z, anchor=anchor)
     d = step.size
-    assert [len(b) for b in batches] == [2 * d + 1, 2 * d + 1, 8, 2 * d + 1]
+    assert [len(b) for b in batches] == [2 * d + 1, 2 * d + 1, 29, 2 * d + 1]
     assert np.array_equal(batches[1][2 * d], step)  # the rejected full step
-    np.testing.assert_array_equal(batches[2], 0.5 ** np.arange(1, 9)[:, None] * step)
-    assert np.array_equal(sol.controls.ravel(), 0.5 * step)
-    assert np.array_equal(batches[3][2 * d], 0.5 * step)
-    assert sol.iterations == 1 and sol.cost < f0
+    np.testing.assert_array_equal(batches[2], 0.5 ** np.arange(1, 30)[:, None] * step)
+    assert np.array_equal(sol.controls.ravel(), t * step)
+    assert np.array_equal(batches[3][2 * d], t * step)
+    assert sol.iterations == 1 and sol.cost < start.cost
