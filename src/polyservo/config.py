@@ -30,7 +30,7 @@ import numpy as np
 from .barriers import AreaBounds, InputLimits, RecenteringAnchor, VisibilityParams
 from .camera import FULL_MASK, UAV_MASK, CameraIntrinsics
 from .errors import ConfigError
-from .nmpc import OcpConfig, SolverParams
+from .nmpc import OcpConfig
 from .targets import Breathing, RigidDrift, RigidSpin, TravelingWave
 
 __all__ = ["ConvergenceSpec", "ScenarioConfig", "BatchSpec", "load_scenario", "load_batch"]
@@ -210,10 +210,8 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         if x_des.shape != (4,):
             raise ConfigError("x_des must have four entries")
 
-        od = _Reader(top.read("ocp"), "ocp")
-        block = "ocp.solver"
-        solver = _parse_fields(SolverParams, _Reader(od.read("solver", {}), block))
         block = "ocp"
+        od = _Reader(top.read("ocp"), block)
         ocp = OcpConfig(
             n=_number(od.read("horizon"), int),
             dt=_number(od.read("dt")),
@@ -231,7 +229,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
                 omega_max=tuple(_number(v) for v in od.read("omega_max")),
             ),
             mask=mask,
-            solver=solver,
         )
         od.close()
         block = "x_des"

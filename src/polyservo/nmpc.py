@@ -24,6 +24,12 @@ Barrier blowup makes the cost +inf outside the safe set, which the line
 search treats as an automatic rejection, so accepted iterates are always
 strictly interior.
 
+A solve stops ``converged`` when the Gauss-Newton decrement at its point,
+``-g^T d / 2`` for the step ``d``, is at most ``_DECREMENT_TOL``: the
+decrease that the full step predicts, in the cost's own units and whatever
+the scaling of the controls. Otherwise it stops ``max_iters`` after
+``_MAX_ITERS`` steps, or ``no_descent`` when no step length passes.
+
 The controller has one rollout, the private ``_OcpKernel``: a batched
 forward pass that writes image points as complex numbers, steps every
 candidate's vertices in a few array ops per horizon step, and forms the
@@ -48,7 +54,7 @@ difference constants.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +84,6 @@ from .polygon import (
 )
 
 __all__ = [
-    "SolverParams",
     "OcpConfig",
     "OcpSolution",
     "StepResult",
@@ -104,6 +109,8 @@ __all__ = [
 # Fixed numerical constants of the method; scenarios do not set them.
 _FD_STEP = 1e-6  # difference step of the rollout outputs behind both derivatives
 _ARMIJO_C1 = 1e-4  # sufficient-decrease factor of the line search
+_DECREMENT_TOL = 1e-6  # converged at this Gauss-Newton decrement, in cost units
+_MAX_ITERS = 30  # steps a solve may take
 # The step lengths a rejected full step falls back to, all in one batch,
 # before the solve stops with no_descent: t = 1/2 ... 2^-29.
 _LS_LADDER = 0.5 ** np.arange(1, 30)
@@ -120,20 +127,8 @@ _LIPSCHITZ_RADIUS = 1e-3
 
 
 @dataclass
-class SolverParams:
-    max_iters: int = 30
-    grad_tol: float = 1e-5
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-
-
-@dataclass
 class OcpConfig:
-    """Horizon, weights, constraint parameters, and solver limits."""
+    """Horizon, weights, constraint parameters and input mask."""
 
     n: int
     dt: float
@@ -144,7 +139,6 @@ class OcpConfig:
     area_bounds: AreaBounds
     limits: InputLimits
     mask: np.ndarray = None
-    solver: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self):
         if self.n < 2:
@@ -188,7 +182,7 @@ class OcpSolution:
     cost: float
     iterations: int
     status: str
-    grad_norm: float
+    decrement: float  # -g^T d / 2 at the controls; +inf where the cost is
 
 
 @dataclass
@@ -543,19 +537,20 @@ def solve_ocp(
     if not np.isfinite(pt.cost) and theta.any():
         pt = kern.gradient(np.zeros(n * m))
 
-    sp = cfg.solver
     status = "max_iters" if np.isfinite(pt.cost) else "no_descent"
+    decrement = np.inf
     iterations = 0
     while status == "max_iters":
-        if np.abs(pt.grad).max() <= sp.grad_tol:
-            status = "converged"
-            break
-        if iterations == sp.max_iters:
-            break
-        iterations += 1
         d = -np.linalg.solve(kern.gauss_newton(pt), pt.grad)
         slope = float(pt.grad @ d)
-        if not slope < 0.0:
+        decrement = -0.5 * slope
+        if decrement <= _DECREMENT_TOL:
+            status = "converged"
+            break
+        if iterations == _MAX_ITERS:
+            break
+        iterations += 1
+        if not slope < 0.0:  # a NaN slope
             status = "no_descent"
             break
 
@@ -581,7 +576,7 @@ def solve_ocp(
         cost=pt.cost,
         iterations=iterations,
         status=status,
-        grad_norm=float(np.abs(pt.grad).max()),
+        decrement=decrement,
     )
 
 

@@ -216,7 +216,6 @@ class TestCliBatch:
         for i in range(5):
             doc = tiny_scenario_doc(duration=5.0)
             doc["ocp"]["horizon"] = 4
-            doc["ocp"]["solver"] = {"max_iters": 8, "grad_tol": 0.001}
             doc["initial_pose"]["yaw"] = 0.03 + 0.02 * i
             doc["disturbance"] = {"bound": 0.001, "seed": 10 + i}
             (scen_dir / f"target{i}.json").write_text(json.dumps(doc))

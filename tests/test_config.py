@@ -153,11 +153,11 @@ def _set(path, value):
         (("convergence",), {"window": 0}),
         (("target", "modes"), 3),
         (("target", "modes"), [{"type": "rigid_spin", "rate": [1.0]}]),
-        (("ocp", "solver"), {"max_iters": 1e400}),
+        (("ocp", "solver"), {"max_iters": 1e400}),  # the solver has no settings
         # Numeric strings, booleans, non-integral ints and non-finite floats
         # are not numbers of the kind the field expects.
         (("duration",), "2.5"),
-        (("ocp", "solver", "max_iters"), True),
+        (("intrinsics", "width"), True),
         (("ocp", "horizon"), 5.9),
         (("max_recovery_steps",), 2.7),
         (("disturbance", "seed"), True),
@@ -170,13 +170,14 @@ def _set(path, value):
         (("target", "modes"), [dict(WAVE, axis=[1.0, 0.0, 0.0])]),
         (("target", "modes"), [{"type": "rigid_drift", "velocity": [0.01, 0.0, 0.0]}]),
         (("target", "modes"), [{"type": "breathing", "amplitude": 1.5, "frequency": 0.2}]),
-        # Values that parse as numbers but break a run: a solver that never
-        # iterates or never converges, a run aborted after its first step,
-        # an angle threshold no run can meet.
-        (("ocp", "solver", "max_iters"), 0),
-        (("ocp", "solver", "max_iters"), -3),
-        (("ocp", "solver", "grad_tol"), -1.0),
-        (("ocp", "solver", "grad_tol"), 0.0),
+        # Values that parse as numbers but break a run: no time to run, a
+        # horizon too short to hold the terminal step, a time step that does
+        # not move, a run aborted after its first step, an angle threshold no
+        # run can meet.
+        (("duration",), 0),
+        (("ocp", "horizon"), -3),
+        (("ocp", "dt"), -1.0),
+        (("ocp", "dt"), 0.0),
         (("max_recovery_steps",), -1),
         (("convergence",), {"angle_deg": 0.0}),
         (("convergence",), {"angle_deg": -2.0}),
@@ -230,10 +231,10 @@ def test_batch_scenarios_must_be_a_list_of_names(tmp_path):
 @pytest.mark.parametrize(
     "path",
     [
-        ("ocp", "solver", "fd_step"),
-        ("ocp", "solver", "armijo_c1"),
-        ("ocp", "solver", "backtrack"),
-        ("ocp", "solver", "max_ls_steps"),
+        ("ocp", "solver"),  # the stopping rule's constants are fixed too
+        ("ocp", "max_iters"),
+        ("ocp", "grad_tol"),
+        ("ocp", "decrement_tol"),
         ("ocp", "local_gain"),
         ("ocp", "local_damping"),
         ("ocp", "local_clamp"),
@@ -259,7 +260,7 @@ def _object_paths(doc):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_unknown_key_is_rejected_in_every_block(name):
     paths = _object_paths(SCENARIOS[name])
-    assert len(paths) >= 8  # the scenario, intrinsics, target, ... convergence
+    assert len(paths) >= 7  # the scenario, intrinsics, target, ... convergence
     for path in paths:
         doc = copy.deepcopy(SCENARIOS[name])
         _get(doc, path)["unexpected_key"] = 1
@@ -295,7 +296,6 @@ def test_defaults_come_from_the_dataclasses():
     assert cfg.convergence.window == custom.convergence.window == 0.2
     assert custom.convergence.angle_deg == 3.0
     assert custom.target_modes[0].axis == (1.0, 0.0)
-    assert cfg.ocp.solver.max_iters == 12 and cfg.ocp.solver.grad_tol == 0.0005
 
 
 def _cli(*args, cwd):
@@ -319,7 +319,7 @@ def _cli(*args, cwd):
         ("batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "repetitions": "x"}),
         ("run", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
         ("diagnose", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
-        ("run", _set(("ocp", "solver", "max_iters"), 0)),
+        ("run", _set(("ocp", "solver"), {"max_iters": 30})),
         ("run", _set(("max_recovery_steps",), -1)),
         ("run", _set(("name",), "../x")),
         ("run", _set(("name",), "a\x00b")),
@@ -399,7 +399,6 @@ def _batch_dir(tmp_path, second):
     """A batch of one good tiny scenario and ``second``, with short runs."""
     good = tiny_scenario_doc(duration=5.0)
     good["ocp"]["horizon"] = 4
-    good["ocp"]["solver"] = {"max_iters": 8, "grad_tol": 0.001}
     (tmp_path / "good.json").write_text(json.dumps(good))
     (tmp_path / "second.json").write_text(json.dumps(second))
     spec = tmp_path / "spec.json"

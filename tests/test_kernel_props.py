@@ -14,8 +14,10 @@ several threads must give their serial results.
 On the same instances, ``solve_ocp`` is held to the invariants the
 receding-horizon argument relies on, whatever the search direction: the
 solved cost never exceeds a finite warm start's cost, the returned controls
-are finite and strictly inside the input limits, and ``grad_norm`` is the
-gradient's max-norm at the returned controls. The gradient is the chain
+are finite and strictly inside the input limits, and ``decrement`` is the
+Gauss-Newton decrement ``-g^T d / 2`` at the returned controls: a solve
+stops ``converged`` exactly when it is at most ``_DECREMENT_TOL``, and
+``max_iters`` only after ``_MAX_ITERS`` steps. The gradient is the chain
 rule through the once-differenced rollout outputs and matches the central
 difference of the cost wherever both sides are finite. The search matrix,
 the Gauss-Newton matrix built from the same differenced outputs, is finite,
@@ -187,7 +189,11 @@ def test_solve_ocp_invariants(inst, scale, warm):
     assert (np.abs(sol.controls) < cfg.masked_limits).all()
     if np.isfinite(sol.cost):
         pt = kern.gradient(sol.controls.ravel())
-        assert sol.grad_norm == np.abs(pt.grad).max()
+        d = -np.linalg.solve(kern.gauss_newton(pt), pt.grad)
+        assert sol.decrement == -0.5 * float(pt.grad @ d)
+        assert (sol.status == "converged") == (sol.decrement <= nmpc._DECREMENT_TOL)
+        if sol.status == "max_iters":
+            assert sol.iterations == nmpc._MAX_ITERS
         # The cost and prediction are the returned controls' own, not those
         # of a ladder row or of a rejected full step rolled out after them.
         assert sol.cost == pt.cost
@@ -299,7 +305,7 @@ def test_infeasible_start_is_retried_from_zero_only_once(warm, batches, monkeypa
     sol = solve_ocp(poly, x0, flow, cfg, x0, Z, warm_start=warm_start, anchor=anchor)
     assert len(calls) == batches
     assert sol.status == "no_descent" and sol.iterations == 0
-    assert sol.cost == np.inf and sol.grad_norm == np.inf
+    assert sol.cost == np.inf and sol.decrement == np.inf
     assert not sol.controls.any()
     assert np.array_equal(sol.predicted_states, np.repeat(x0[None], cfg.n + 1, axis=0))
 
@@ -341,7 +347,7 @@ def test_gauss_newton_matrix_gives_descent(inst, scale, at_limit):
     assert (np.diag(H) > 0.0).all()
     unit = 1.0 / np.sqrt(np.diag(H))
     assert np.linalg.eigvalsh(H * np.outer(unit, unit)).min() > 0.0
-    if np.abs(grad).max() > cfg.solver.grad_tol:
+    if grad.any():
         d = -np.linalg.solve(H, grad)
         assert grad @ d < 0.0
 
@@ -420,7 +426,7 @@ def test_rejected_full_step_backtracks_from_half(c1, t, small_ocp, pentagon, mon
     start = kern.gradient(np.zeros(small_ocp.n * small_ocp.n_inputs))
     step = -np.linalg.solve(kern.gauss_newton(start), start.grad)
     monkeypatch.setattr(nmpc, "_ARMIJO_C1", c1)
-    small_ocp.solver.max_iters = 1
+    monkeypatch.setattr(nmpc, "_MAX_ITERS", 1)
     batches = _counted_cost(monkeypatch)
     sol = solve_ocp(pentagon, x0, None, small_ocp, x_des, Z, anchor=anchor)
     d = step.size

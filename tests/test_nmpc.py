@@ -19,6 +19,7 @@ from polyservo import (
     terminal_cost,
     total_cost,
 )
+from polyservo import nmpc
 from polyservo.barriers import EPS_L, InputLimits, RecenteringAnchor
 from polyservo.camera import FULL_MASK, UAV_MASK
 from polyservo.config import parse_scenario
@@ -251,9 +252,9 @@ class TestSolver:
         err = x0[:2] - x_des[:2]
         assert step @ err < 0.0
 
-    def test_descent_vs_warm_start_randomized(self, small_ocp):
+    def test_descent_vs_warm_start_randomized(self, small_ocp, monkeypatch):
         rng = np.random.default_rng(5)
-        small_ocp.solver.max_iters = 6
+        monkeypatch.setattr(nmpc, "_MAX_ITERS", 6)
         n_ok = 0
         while n_ok < 100:
             poly = random_polygon(rng, int(rng.integers(4, 8)), scale=0.25)
@@ -285,16 +286,23 @@ class TestSolver:
         with pytest.raises(InfeasibleStart):
             solve_ocp(pentagon, x_bad, None, small_ocp, extract_state(pentagon), Z)
 
-    def test_uav_wave_solves_converge(self):
+    @pytest.mark.parametrize(
+        "name, duration",
+        [("fig8_uav_wave", 4.0), ("fig4_free_pentagon", 1.0)],
+        ids=["fig8_uav_wave", "fig4_free_pentagon"],
+    )
+    def test_uav_wave_solves_converge(self, name, duration):
         # The Lyapunov and feasibility arguments assume each applied plan is
-        # a converged solve, not one cut off at max_iters.
-        doc = json.loads((CONFIGS / "fig8_uav_wave.json").read_text())
-        doc["duration"] = 4.0
-        cfg = parse_scenario(doc, "uav_wave_4s")
+        # a converged solve, not one cut off at max_iters. The pentagon's
+        # opening solve, from a zero warm start, is its longest.
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        doc["duration"] = duration
+        cfg = parse_scenario(doc, name)
         iters = run_scenario(cfg).columns["iters"]
-        assert iters.size == 40
-        assert (iters < cfg.ocp.solver.max_iters).all(), f"max {iters.max()}"
-        assert iters.mean() <= 4.0, f"mean {iters.mean():.2f} iterations per solve"
+        assert iters.size == round(duration / cfg.ocp.dt)
+        assert (iters < nmpc._MAX_ITERS).all(), f"max {iters.max()}"
+        if name == "fig8_uav_wave":
+            assert iters.mean() <= 4.0, f"mean {iters.mean():.2f} iterations per solve"
 
 
 class TestLocalController:

@@ -57,7 +57,6 @@ def tiny_scenario_doc(**overrides):
             "delta": 0.02,
             "nu_max": [0.6, 0.6, 0.6],
             "omega_max": [0.6, 0.6, 0.8],
-            "solver": {"max_iters": 12, "grad_tol": 0.0005},
         },
         "disturbance": {"bound": 0.0, "seed": 1},
         "duration": 2.0,
