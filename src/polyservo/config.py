@@ -71,7 +71,6 @@ class ScenarioConfig:
     duration: float
     estimator: str
     convergence: ConvergenceSpec
-    max_recovery_steps: int
     config_hash: str = ""
 
 
@@ -257,11 +256,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         block = "convergence"
         conv = _parse_fields(ConvergenceSpec, _Reader(top.read("convergence", {}), block))
 
-        block = "max_recovery_steps"
-        max_recovery_steps = _number(top.read("max_recovery_steps", 20), int)
-        if max_recovery_steps < 0:
-            raise ConfigError("max_recovery_steps must be nonnegative")
-
         name = top.read("name", name_hint)
         if not isinstance(name, str) or name in ("", ".", "..") or set(name) & {"/", "\\", "\x00"}:
             raise ConfigError(f"name must be a plain file stem, got {name!r}")
@@ -290,7 +284,6 @@ def parse_scenario(doc: dict, name_hint: str = "scenario", seed_offset: int = 0)
         duration=duration,
         estimator=estimator,
         convergence=conv,
-        max_recovery_steps=max_recovery_steps,
         config_hash=digest,
     )
 

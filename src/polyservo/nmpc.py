@@ -320,7 +320,9 @@ class _OcpKernel:
     This forward pass is the controller's only rollout: the line search's
     costs and each solver point that :meth:`gradient` returns, with its
     derivatives, predicted trajectory and horizon-end polygon, all come
-    from :meth:`forward`. The kernel keeps no per-point state. The public
+    from :meth:`forward`. The only state the kernel keeps between calls is
+    in ``_pass``: :meth:`cost` leaves its batch's outputs there for
+    :meth:`gradient`, and the next call overwrites them. The public
     :func:`rollout`/:func:`total_cost` path through
     :func:`propagate_discrete` shares none of this code and is the
     independent oracle: the two agree to about 1e-12 relative and reject
@@ -588,13 +590,10 @@ def solve_ocp(
 def local_controller_h(x_err, poly: PolygonFeatures, cfg: OcpConfig, z: float):
     """Damped pseudo-inverse feedback, clamped strictly inside the limits.
 
-    Returns the masked command vector. Falls back to zero input when the
-    masked input map loses rank.
+    Returns the masked command vector.
     """
     x_err = np.asarray(x_err, dtype=float)
     g = dynamics_matrix(poly, z)[:, cfg.mask]
-    if np.linalg.matrix_rank(g, tol=1e-10) < 4:
-        return np.zeros(cfg.n_inputs)
     ggt = g @ g.T + (_LOCAL_DAMPING * _LOCAL_DAMPING) * np.eye(4)
     nu = -_LOCAL_GAIN * (g.T @ np.linalg.solve(ggt, x_err))
     bound = _LOCAL_CLAMP * cfg.masked_limits
@@ -735,37 +734,32 @@ def cost_difference_bound(m: int, e: float, diag, state_norms=()):
     return float(L_zm * e - lower_sum), float(L_zm)
 
 
-def empirical_lipschitz_f(cfg: OcpConfig, z: float, polys, rng) -> float:
-    """Sampled Lipschitz estimate of the one-step stacked vertex/state map.
+def empirical_lipschitz_f(cfg: OcpConfig, z: float, poly: PolygonFeatures, rng) -> float:
+    """Sampled Lipschitz estimate of the one-step stacked vertex/state map at ``poly``.
 
     Perturbs the stacked (vertices, state) vector by ``_LIPSCHITZ_RADIUS``,
     steps both copies under a random admissible input, and takes the worst
     ratio of output to input distance over ``_LIPSCHITZ_SAMPLES`` draws. The
     draws are made sample by sample, then all copies step in one pass of the
     :mod:`polyservo.polygon` ``_batch`` helpers with a leading copy and
-    sample axis; ``polys`` share N and reference pair.
+    sample axis.
     """
-    if len({poly.reference_pair for poly in polys}) > 1:
-        raise ValueError("reference polygons must share their reference pair")
-    verts = np.stack([poly.vertices for poly in polys])
-    n_v = verts.shape[1]
+    verts, n_v = poly.vertices, poly.n_vertices
     # The state offset cancels in the ratio but sets its rounding.
-    offsets = np.array([
-        [pts[:, 0].mean(), pts[:, 1].mean(), np.log(0.5 * abs(_shoelace_sum(pts))), 0.0]
-        for pts in verts
+    offset = np.array([
+        verts[:, 0].mean(), verts[:, 1].mean(), np.log(0.5 * abs(_shoelace_sum(verts))), 0.0
     ])
     limits = cfg.limits.as_vector()
     draws = []
     for _ in range(_LIPSCHITZ_SAMPLES):
-        k = rng.integers(len(polys))
         nu = rng.uniform(-1.0, 1.0, 6) * limits * cfg.mask
         d = rng.normal(size=2 * n_v + 4)
-        draws.append((k, nu, d * (_LIPSCHITZ_RADIUS / np.linalg.norm(d))))
-    idx, nu, delta = (np.array(a) for a in zip(*draws))
+        draws.append((nu, d * (_LIPSCHITZ_RADIUS / np.linalg.norm(d))))
+    nu, delta = (np.array(a) for a in zip(*draws))
 
-    pts = np.stack([verts[idx], verts[idx] + delta[:, : 2 * n_v].reshape(-1, n_v, 2)])
-    x = np.stack([offsets[idx], offsets[idx] + delta[:, 2 * n_v :]])
-    g, L = _dynamics_batch(pts, z, polys[0].reference_pair)
+    pts = np.stack(np.broadcast_arrays(verts, verts + delta[:, : 2 * n_v].reshape(-1, n_v, 2)))
+    x = np.stack(np.broadcast_arrays(offset, offset + delta[:, 2 * n_v :]))
+    g, L = _dynamics_batch(pts, z, poly.reference_pair)
     pts = pts + (L @ nu[:, None, :, None])[..., 0] * cfg.dt
     x = x + (g @ nu[:, :, None])[..., 0] * cfg.dt
     worst = 0.0
@@ -827,11 +821,15 @@ def _auto_eps0(cfg: OcpConfig, x_des):
     return 0.9 * min(lim_vis, lim_sig)
 
 
-def compute_diagnostics(cfg: OcpConfig, z: float, x_des, ref_polys, rng) -> DiagnosticsBundle:
+def compute_diagnostics(cfg: OcpConfig, z: float, x_des, ref_poly, rng) -> DiagnosticsBundle:
     """Evaluate every diagnostic constant for one controller configuration.
 
-    ``L_f_emp`` is sampled around ``ref_polys`` with ``rng``. Raises
-    ``ValueError`` when ``x_des`` is not strictly inside the safe set.
+    ``L_f_emp``, and ``xi_max_emp`` from it, are sampled around ``ref_poly``
+    with ``rng``. A session draws them at its opening polygon with
+    ``default_rng(disturbance seed + seed offset + 1)``, so they differ
+    between seed offsets, as between ``polyservo diagnose`` (offset 0),
+    ``run --seed k`` and a batch's repetitions. Raises ``ValueError`` when
+    ``x_des`` is not strictly inside the safe set.
     """
     x_des = np.asarray(x_des, dtype=float)
     vis = cfg.visibility
@@ -852,7 +850,7 @@ def compute_diagnostics(cfg: OcpConfig, z: float, x_des, ref_polys, rng) -> Diag
     L_F = lipschitz_LF(box, cfg.q)
     F_lower = float(min(cfg.q.min(), cfg.masked_r.min()))
     xi_max, per_m = disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f, cfg.n)
-    L_f_emp = empirical_lipschitz_f(cfg, z, ref_polys, rng)
+    L_f_emp = empirical_lipschitz_f(cfg, z, ref_poly, rng)
     xi_max_emp, _ = disturbance_feasibility_bound(a_eps, a_eps_f, L_E, L_f_emp, cfg.n)
 
     # Optimal-cost difference constants, k = n - 1 - m steps left.

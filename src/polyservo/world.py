@@ -40,6 +40,9 @@ __all__ = [
 # world x, optical axis points down.
 R_NADIR = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
+# A run aborts once more consecutive steps than this fall back to the local controller.
+_MAX_RECOVERY_STEPS = 20
+
 CSV_HEADER = (
     "t,sx,sy,sigbar,abar,ex,ey,esig,eang,L1,L2,"
     "vx,vy,vz,wx,wy,wz,cost,iters,feasible"
@@ -195,7 +198,7 @@ def opening_scene(cfg):
         cfg.ocp,
         pose.height,
         cfg.x_des,
-        ref_polys=[PolygonFeatures(s0, cfg.reference_pair)],
+        ref_poly=PolygonFeatures(s0, cfg.reference_pair),
         rng=np.random.default_rng(cfg.disturbance_seed + 1),
     )
     return target, pose, diag
@@ -253,7 +256,7 @@ def run_scenario(cfg) -> SimLog:
             0 if res.recovered else 1,
         ))
 
-        if consecutive_recoveries > cfg.max_recovery_steps:
+        if consecutive_recoveries > _MAX_RECOVERY_STEPS:
             aborted = f"unrecoverable infeasibility at t={t:.3f}"
             break
 

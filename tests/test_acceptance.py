@@ -215,7 +215,7 @@ def test_criterion_07_robust_feasibility():
         cfg0.ocp,
         pose.height,
         cfg0.x_des,
-        ref_polys=[poly0],
+        ref_poly=poly0,
         rng=np.random.default_rng(7),
     )
     lf = diag.L_f_emp

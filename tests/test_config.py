@@ -139,75 +139,80 @@ def _set(path, value):
     return doc
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [
-        (("duration",), "abc"),
-        (("x_des",), "abc"),
-        (("target", "base_vertices"), "square"),
-        (("intrinsics",), 5),
-        (("disturbance", "seed"), "x"),
-        (("target", "reference_pair"), ["a", 1]),
-        (("target", "reference_pair"), [0, 4]),
-        (("convergence",), {"window": "x"}),
-        (("convergence",), {"window": 0}),
-        (("target", "modes"), 3),
-        (("target", "modes"), [{"type": "rigid_spin", "rate": [1.0]}]),
-        (("ocp", "solver"), {"max_iters": 1e400}),  # the solver has no settings
-        # Numeric strings, booleans, non-integral ints and non-finite floats
-        # are not numbers of the kind the field expects.
-        (("duration",), "2.5"),
-        (("intrinsics", "width"), True),
-        (("ocp", "horizon"), 5.9),
-        (("max_recovery_steps",), 2.7),
-        (("disturbance", "seed"), True),
-        (("ocp", "q"), ["1", "1", "1", "1"]),
-        (("intrinsics", "alpha_x"), float("nan")),
-        (("x_des",), [0.0, 0.0, float("inf"), 0.0]),
-        # Target modes that cannot describe a target.
-        (("target", "modes"), [dict(WAVE, wavelength=0)]),
-        (("target", "modes"), [dict(WAVE, axis=[0.0, 0.0])]),
-        (("target", "modes"), [dict(WAVE, axis=[1.0, 0.0, 0.0])]),
-        (("target", "modes"), [{"type": "rigid_drift", "velocity": [0.01, 0.0, 0.0]}]),
-        (("target", "modes"), [{"type": "breathing", "amplitude": 1.5, "frequency": 0.2}]),
-        # Values that parse as numbers but break a run: no time to run, a
-        # horizon too short to hold the terminal step, a time step that does
-        # not move, a run aborted after its first step, an angle threshold no
-        # run can meet.
-        (("duration",), 0),
-        (("ocp", "horizon"), -3),
-        (("ocp", "dt"), -1.0),
-        (("ocp", "dt"), 0.0),
-        (("max_recovery_steps",), -1),
-        (("convergence",), {"angle_deg": 0.0}),
-        (("convergence",), {"angle_deg": -2.0}),
-        # A name that is not a plain file stem would write outside --out.
-        (("name",), 5),
-        (("name",), ""),
-        (("name",), "."),
-        (("name",), ".."),
-        (("name",), "../x"),
-        (("name",), "a/b"),
-        (("name",), "a\\b"),
-        (("name",), "a\x00b"),  # the OS refuses it in a file name
-        # Seeds for numpy's generators are nonnegative.
-        (("disturbance", "seed"), -1),
-        (("target", "seed"), -1),
-        # A setpoint outside the safe set has no recentred barrier.
-        (("x_des",), [0.0, 0.0, 5.0, 0.0]),
-    ],
-)
+# The cases of the three tables below are keyed by their test ids. Each id
+# is written out, so deleting a case renames no other: the first cases keep
+# the ids they were collected under, and a new case is named by its content.
+BAD_VALUES = {
+    "path0-abc": (("duration",), "abc"),
+    "path1-abc": (("x_des",), "abc"),
+    "path2-square": (("target", "base_vertices"), "square"),
+    "path3-5": (("intrinsics",), 5),
+    "path4-x": (("disturbance", "seed"), "x"),
+    "path5-value5": (("target", "reference_pair"), ["a", 1]),
+    "path6-value6": (("target", "reference_pair"), [0, 4]),
+    "path7-value7": (("convergence",), {"window": "x"}),
+    "path8-value8": (("convergence",), {"window": 0}),
+    "path9-3": (("target", "modes"), 3),
+    "path10-value10": (("target", "modes"), [{"type": "rigid_spin", "rate": [1.0]}]),
+    "path11-value11": (("ocp", "solver"), {"max_iters": 1e400}),  # the solver has no settings
+    # Numeric strings, booleans, non-integral ints and non-finite floats
+    # are not numbers of the kind the field expects.
+    "path12-2.5": (("duration",), "2.5"),
+    "path13-True": (("intrinsics", "width"), True),
+    "path14-5.9": (("ocp", "horizon"), 5.9),
+    "path16-True": (("disturbance", "seed"), True),
+    "path17-value17": (("ocp", "q"), ["1", "1", "1", "1"]),
+    "path18-nan": (("intrinsics", "alpha_x"), float("nan")),
+    "path19-value19": (("x_des",), [0.0, 0.0, float("inf"), 0.0]),
+    # Target modes that cannot describe a target.
+    "path20-value20": (("target", "modes"), [dict(WAVE, wavelength=0)]),
+    "path21-value21": (("target", "modes"), [dict(WAVE, axis=[0.0, 0.0])]),
+    "path22-value22": (("target", "modes"), [dict(WAVE, axis=[1.0, 0.0, 0.0])]),
+    "path23-value23": (
+        ("target", "modes"), [{"type": "rigid_drift", "velocity": [0.01, 0.0, 0.0]}]
+    ),
+    "path24-value24": (
+        ("target", "modes"), [{"type": "breathing", "amplitude": 1.5, "frequency": 0.2}]
+    ),
+    # Values that parse as numbers but break a run: no time to run, a
+    # horizon too short to hold the terminal step, a time step that does
+    # not move, an angle threshold no run can meet.
+    "path25-0": (("duration",), 0),
+    "path26--3": (("ocp", "horizon"), -3),
+    "path27--1.0": (("ocp", "dt"), -1.0),
+    "path28-0.0": (("ocp", "dt"), 0.0),
+    "path30-value30": (("convergence",), {"angle_deg": 0.0}),
+    "path31-value31": (("convergence",), {"angle_deg": -2.0}),
+    # A name that is not a plain file stem would write outside --out.
+    "path32-5": (("name",), 5),
+    "path33-": (("name",), ""),
+    "path34-.": (("name",), "."),
+    "path35-..": (("name",), ".."),
+    "path36-../x": (("name",), "../x"),
+    "path37-a/b": (("name",), "a/b"),
+    "path38-a\\b": (("name",), "a\\b"),
+    "path39-a\x00b": (("name",), "a\x00b"),  # the OS refuses it in a file name
+    # Seeds for numpy's generators are nonnegative.
+    "path40--1": (("disturbance", "seed"), -1),
+    "path41--1": (("target", "seed"), -1),
+    # A setpoint outside the safe set has no recentred barrier.
+    "path42-value42": (("x_des",), [0.0, 0.0, 5.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("path, value", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(ConfigError, match=path[0]):
         parse_scenario(_set(path, value))
 
 
 def test_integral_float_for_int_and_int_for_float_accepted():
-    doc = tiny_scenario_doc(duration=2, max_recovery_steps=3.0)
+    doc = tiny_scenario_doc(duration=2)
     doc["ocp"]["horizon"] = 5.0
+    doc["target"]["seed"] = 3.0
     cfg = parse_scenario(doc)
     assert cfg.ocp.n == 5 and type(cfg.ocp.n) is int
-    assert cfg.max_recovery_steps == 3 and type(cfg.max_recovery_steps) is int
+    assert cfg.target_seed == 3 and type(cfg.target_seed) is int
     assert cfg.duration == 2.0 and type(cfg.duration) is float
 
 
@@ -228,24 +233,25 @@ def test_batch_scenarios_must_be_a_list_of_names(tmp_path):
             load_batch(path)
 
 
-@pytest.mark.parametrize(
-    "path",
-    [
-        ("ocp", "solver"),  # the stopping rule's constants are fixed too
-        ("ocp", "max_iters"),
-        ("ocp", "grad_tol"),
-        ("ocp", "decrement_tol"),
-        ("ocp", "local_gain"),
-        ("ocp", "local_damping"),
-        ("ocp", "local_clamp"),
-        ("ocp", "abar_limit"),
-        ("ocp", "eps0"),  # the terminal radius is always the auto-fit
-        ("depth",),  # the controller's depth is always the altimeter
-        ("convergence", "centroid_frac"),  # grading thresholds in analysis
-        ("convergence", "sigma_tol"),
-        ("convergence", "barrier_margin"),
-    ],
-)
+FIXED_KEYS = {
+    "path0": ("ocp", "solver"),  # the stopping rule's constants are fixed too
+    "path1": ("ocp", "max_iters"),
+    "path2": ("ocp", "grad_tol"),
+    "path3": ("ocp", "decrement_tol"),
+    "path4": ("ocp", "local_gain"),
+    "path5": ("ocp", "local_damping"),
+    "path6": ("ocp", "local_clamp"),
+    "path7": ("ocp", "abar_limit"),
+    "path8": ("ocp", "eps0"),  # the terminal radius is always the auto-fit
+    "path9": ("depth",),  # the controller's depth is always the altimeter
+    "path10": ("convergence", "centroid_frac"),  # grading thresholds in analysis
+    "path11": ("convergence", "sigma_tol"),
+    "path12": ("convergence", "barrier_margin"),
+    "max_recovery_steps": ("max_recovery_steps",),  # a run aborts after 20
+}
+
+
+@pytest.mark.parametrize("path", list(FIXED_KEYS.values()), ids=list(FIXED_KEYS))
 def test_fixed_solver_constants_are_unknown_keys(path):
     doc = tiny_scenario_doc(convergence={})
     _get(doc, path[:-1])[path[-1]] = 1.0
@@ -311,24 +317,27 @@ def _cli(*args, cwd):
     )
 
 
-@pytest.mark.parametrize(
-    "command, doc",
-    [
-        ("run", tiny_scenario_doc(duration="abc")),
-        ("diagnose", tiny_scenario_doc(intrinsics=5)),
-        ("batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "repetitions": "x"}),
-        ("run", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
-        ("diagnose", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
-        ("run", _set(("ocp", "solver"), {"max_iters": 30})),
-        ("run", _set(("max_recovery_steps",), -1)),
-        ("run", _set(("name",), "../x")),
-        ("run", _set(("name",), "a\x00b")),
-        ("run", _set(("target", "seed"), -1)),
-        ("run", _set(("disturbance", "seed"), -1)),
-        ("batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "base_seed": -100}),
-        ("run", _set(("x_des",), [0.0, 0.0, 5.0, 0.0])),
-    ],
-)
+MALFORMED_CLI = {
+    "run-doc0": ("run", tiny_scenario_doc(duration="abc")),
+    "diagnose-doc1": ("diagnose", tiny_scenario_doc(intrinsics=5)),
+    "batch-doc2": (
+        "batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "repetitions": "x"}
+    ),
+    "run-doc3": ("run", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
+    "diagnose-doc4": ("diagnose", _set(("target", "modes"), [dict(WAVE, wavelength=0)])),
+    "run-doc5": ("run", _set(("ocp", "solver"), {"max_iters": 30})),
+    "run-doc7": ("run", _set(("name",), "../x")),
+    "run-doc8": ("run", _set(("name",), "a\x00b")),
+    "run-doc9": ("run", _set(("target", "seed"), -1)),
+    "run-doc10": ("run", _set(("disturbance", "seed"), -1)),
+    "batch-doc11": (
+        "batch", {"scenarios": [str(CONFIGS / "static_octagon.json")], "base_seed": -100}
+    ),
+    "run-doc12": ("run", _set(("x_des",), [0.0, 0.0, 5.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("command, doc", list(MALFORMED_CLI.values()), ids=list(MALFORMED_CLI))
 def test_cli_malformed_config_exits_one_without_traceback(tmp_path, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -46,7 +46,7 @@ from polyservo.nmpc import (
     lipschitz_Lf,
     prediction_error_bound,
 )
-from polyservo.polygon import _shoelace_sum
+from polyservo.polygon import _shoelace_sum, dynamics_matrix
 from polyservo.world import run_scenario
 from conftest import random_polygon
 
@@ -312,8 +312,6 @@ class TestLocalController:
 
     def test_linear_bound(self, small_ocp, pentagon):
         # ||h|| <= L_h ||err|| with L_h from the damped pseudo-inverse gain.
-        from polyservo.polygon import dynamics_matrix
-
         g = dynamics_matrix(pentagon, Z)[:, small_ocp.mask]
         ggt = g @ g.T + _LOCAL_DAMPING**2 * np.eye(4)
         L_h = _LOCAL_GAIN * np.linalg.norm(g.T @ np.linalg.inv(ggt), 2)
@@ -337,6 +335,26 @@ class TestLocalController:
             pentagon, x, nu6, np.zeros_like(pentagon.vertices), small_ocp.dt, Z
         )
         assert np.linalg.norm(x_next - x_des) < np.linalg.norm(x - x_des)
+
+    @pytest.mark.parametrize("mask", [FULL_MASK, UAV_MASK], ids=["full", "uav"])
+    def test_masked_map_keeps_full_rank(self, small_ocp, mask):
+        # Under either mask the columns vx, vy, vz and wz of the input map
+        # form a triangular block with diagonal (-1/z, -1/z, 2/z, -(1+abar^2)),
+        # so the map has rank 4 at every depth, and near the setpoint the
+        # local law gives an unclamped command along which the linearised
+        # error decreases.
+        cfg = dataclasses.replace(small_ocp, mask=mask.copy())
+        bound = _LOCAL_CLAMP * cfg.masked_limits
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            poly = random_polygon(rng, int(rng.integers(3, 13)))
+            z = rng.uniform(0.5, 6.0)
+            g = dynamics_matrix(poly, z)[:, mask]
+            assert np.linalg.svd(g, compute_uv=False)[-1] > 1e-3
+            e = rng.normal(0.0, 1e-3, 4)
+            nu = local_controller_h(e, poly, cfg, z)
+            assert (np.abs(nu) < bound).all()
+            assert e @ g @ nu < 0.0
 
 
 class TestRecedingController:
@@ -446,7 +464,7 @@ class TestDiagnostics:
     def test_cost_difference_bound(self, small_ocp, pentagon):
         x_des = extract_state(pentagon)
         diag = compute_diagnostics(
-            small_ocp, Z, x_des, ref_polys=[pentagon], rng=np.random.default_rng(7)
+            small_ocp, Z, x_des, ref_poly=pentagon, rng=np.random.default_rng(7)
         )
         bound, lzm = cost_difference_bound(small_ocp.n - 1, e=0.7, diag=diag)
         assert lzm == pytest.approx(diag.L_E)
@@ -459,7 +477,7 @@ class TestDiagnostics:
     def test_bundle_fields_and_terminal_set(self, small_ocp, pentagon):
         x_des = extract_state(pentagon)
         rng = np.random.default_rng(7)
-        diag = compute_diagnostics(small_ocp, Z, x_des, ref_polys=[pentagon], rng=rng)
+        diag = compute_diagnostics(small_ocp, Z, x_des, ref_poly=pentagon, rng=rng)
         for v in (diag.L_f, diag.L_F, diag.L_E, diag.F_lower, diag.eps0, diag.a_eps, diag.xi_max):
             assert v > 0
         assert diag.a_eps > diag.a_eps_f > 0
@@ -479,11 +497,11 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match="strictly inside"):
             anchor_for(small_ocp, x_des)
         with pytest.raises(ValueError, match="strictly inside"):
-            compute_diagnostics(small_ocp, Z, x_des, [pentagon], np.random.default_rng(0))
+            compute_diagnostics(small_ocp, Z, x_des, pentagon, np.random.default_rng(0))
 
     def test_sidecar_dict_is_every_field_but_p_weights(self, small_ocp, pentagon):
         diag = compute_diagnostics(
-            small_ocp, Z, extract_state(pentagon), ref_polys=[pentagon],
+            small_ocp, Z, extract_state(pentagon), ref_poly=pentagon,
             rng=np.random.default_rng(7),
         )
         d = diag.to_dict()
@@ -499,7 +517,7 @@ class TestDiagnostics:
         # stays below the geometric bound with the sampled constant.
         rng = np.random.default_rng(8)
         cfg = small_ocp
-        lf_emp = empirical_lipschitz_f(cfg, Z, [pentagon], rng)
+        lf_emp = empirical_lipschitz_f(cfg, Z, pentagon, rng)
         lf = max(lf_emp, 1.0)
         xi_bound = 2e-3
         x0 = extract_state(pentagon)
@@ -518,19 +536,18 @@ class TestDiagnostics:
 
 
     @pytest.mark.parametrize("seed, mask", [(0, FULL_MASK), (1, FULL_MASK), (2, UAV_MASK)])
-    def test_sampled_constant_is_the_oracle_step_ratio(self, small_ocp, pentagon, seed, mask):
+    def test_sampled_constant_is_the_oracle_step_ratio(self, small_ocp, seed, mask):
         # Replaying the sampler's draws and stepping each pair with the
         # public propagate_discrete at zero flow gives the same worst ratio:
         # L_f_emp samples the map that criterion 07 and the audit above step.
         cfg = dataclasses.replace(small_ocp, mask=mask.copy())
-        polys = [pentagon, random_polygon(np.random.default_rng(seed), 5)]
-        lf_emp = empirical_lipschitz_f(cfg, Z, polys, np.random.default_rng(seed))
+        poly = random_polygon(np.random.default_rng(seed), 5)
+        lf_emp = empirical_lipschitz_f(cfg, Z, poly, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         limits = cfg.limits.as_vector()
+        n_v = poly.n_vertices
         worst = 0.0
         for _ in range(_LIPSCHITZ_SAMPLES):
-            poly = polys[rng.integers(len(polys))]
-            n_v = poly.n_vertices
             nu = rng.uniform(-1.0, 1.0, 6) * limits * cfg.mask
             delta = rng.normal(size=2 * n_v + 4)
             delta *= _LIPSCHITZ_RADIUS / np.linalg.norm(delta)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyservo import PolygonFeatures, extract_state
+from polyservo import PolygonFeatures, extract_state, world
 from polyservo.config import load_scenario, parse_scenario
 from polyservo.errors import TargetLost
 from polyservo.nmpc import RecedingHorizonController, StepResult
@@ -282,7 +282,8 @@ class TestLoopEndings:
         log.to_csv(p)
         return p.read_text().splitlines()
 
-    def test_unrecoverable_infeasibility_aborts_with_log(self, tmp_path):
+    def test_unrecoverable_infeasibility_aborts_with_log(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(world, "_MAX_RECOVERY_STEPS", 0)
         log = run_scenario(parse_scenario(unrecoverable_doc(), "abort"))
         assert log.aborted.startswith("unrecoverable infeasibility")
         assert log.n_steps == 1 and log.meta["steps"] == 1
@@ -307,14 +308,13 @@ class TestLoopEndings:
 
 
 def unrecoverable_doc():
-    """``static_octagon`` that aborts after its first logged step.
+    """``static_octagon`` that aborts on unrecoverable infeasibility.
 
     From z = 6 the octagon's projected area is below sigma_min, so no OCP
-    can be posed, and no recovery steps are allowed.
+    can be posed; the run aborts once the recovery limit is spent.
     """
     doc = json.loads((CONFIGS / "static_octagon.json").read_text())
     doc["initial_pose"]["position"][2] = 6.0
-    doc["max_recovery_steps"] = 0
     return doc
 
 
